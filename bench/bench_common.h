@@ -5,8 +5,8 @@
  * Every paper-reproduction bench needs the same 32 x 45 metric
  * matrix. Simulating the whole suite takes minutes, so the first
  * bench to run caches the matrix as a CSV next to the working
- * directory and the rest load it. Delete the cache (or change
- * BDS_SCALE / BDS_SEED) to force re-simulation.
+ * directory and the rest load it. Delete the cache (or change any
+ * result-relevant knob, see metricsCachePath) to force re-simulation.
  *
  * All configuration — scale, seed, threads, sampling, metric subset,
  * tracing and manifests — comes from bds::RunConfig (src/obs), the
@@ -41,13 +41,13 @@
 #include <sys/utsname.h>
 #endif
 
-#include "ckpt/context.h"
 #include "common/log.h"
 #include "core/csvio.h"
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "obs/session.h"
 #include "sample/characterizer.h"
+#include "serve/confighash.h"
 #include "uarch/machine.h"
 #include "workloads/registry.h"
 
@@ -167,11 +167,17 @@ loadMetricsCsv(const std::string &path, std::vector<std::string> &names,
 }
 
 /**
- * The cache file a configuration characterizes into. The default
+ * The cache file a configuration characterizes into. The name is
+ * built from scale, seed, machine and the sampled flag; the default
  * machine keeps the legacy name (so seed-era caches stay warm and
- * the CI byte-identity gate compares like against like); any other
- * geometry gets its slug in the name, because a matrix simulated on
- * a different machine is a different matrix.
+ * the CI byte-identity gate compares like against like), any other
+ * geometry adds its slug. Every other knob that can change the
+ * matrix — the sampling knobs, the recovery policy and the
+ * fault-injection spec — is covered only by the result store's
+ * runConfigHash. When any of them is off its default, the name gains
+ * that 16-hex hash, so a sampled run with its own interval size or a
+ * retry-healed injected run never loads, or overwrites, the matrix
+ * of the default configuration.
  */
 inline std::string
 metricsCachePath(const bds::RunConfig &cfg)
@@ -179,9 +185,17 @@ metricsCachePath(const bds::RunConfig &cfg)
     std::string machine;
     if (!bds::isDefaultMachineSpec(cfg.machineSpec))
         machine = "_" + bds::machineSlug(cfg.machineSpec);
+    bds::RunConfig named;
+    named.scaleName = cfg.scaleName;
+    named.seed = cfg.seed;
+    named.machineSpec = cfg.machineSpec;
+    named.sampling.enabled = cfg.sampling.enabled;
+    std::string hash;
+    if (bds::canonicalRunConfig(cfg) != bds::canonicalRunConfig(named))
+        hash = "_" + bds::runConfigHashHex(cfg);
     return "bds_metrics_" + cfg.scaleName + "_"
         + std::to_string(cfg.seed) + machine
-        + (cfg.sampling.enabled ? "_sampled" : "") + ".csv";
+        + (cfg.sampling.enabled ? "_sampled" : "") + hash + ".csv";
 }
 
 /**
@@ -221,11 +235,6 @@ characterizedPipeline(bds::Session &session)
         bds::SweepReport report;
         if (cfg.sampling.enabled) {
             bds::SampledCharacterizer sampler(runner, cfg.sampling);
-            // ckpt.enabled: replays restore representative-entry
-            // snapshots from the shared cache and write the missing
-            // ones, so a re-characterization of an unchanged config
-            // skips the functional warming (docs/CHECKPOINT.md).
-            sampler.setCheckpoints(bds::checkpointContextFor(cfg));
             metrics = sampler.runAll(nullptr, &report);
         } else {
             bds::SweepTiming timing;

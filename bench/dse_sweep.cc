@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/context.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "core/findings.h"
@@ -231,18 +230,6 @@ runDse(int argc, char **argv)
         }
     }
 
-    // --- per-preset checkpoint contexts (--ckpt/--ckpt-dir). The
-    // checkpoint key hashes the canonical geometry text, not the
-    // preset name, so geometry-compatible presets (and warm reruns of
-    // the same sweep) share one checkpoint stream in the common dir.
-    std::vector<CheckpointContext> ckpts(presets.size());
-    if (cfg.ckpt.enabled && !full_mode)
-        for (std::size_t p = 0; p < presets.size(); ++p) {
-            RunConfig pcfg = cfg;
-            pcfg.machineSpec = presets[p]->name;
-            ckpts[p] = checkpointContextFor(pcfg);
-        }
-
     // --- group the uncached presets by core count: one capture per
     // (workload, core count), replayed across the group --------------
     std::map<unsigned, std::vector<std::size_t>> groups;
@@ -300,10 +287,7 @@ runDse(int argc, char **argv)
                                 SampledWorkloadResult r =
                                     replayCapture(
                                         cap, presets[p]->config,
-                                        cfg.sampling,
-                                        ckpts[p].enabled()
-                                            ? &ckpts[p]
-                                            : nullptr);
+                                        cfg.sampling);
                                 cell.metrics = r.metrics;
                                 cell.stats = r.stats;
                                 cell.intervals = r.numIntervals;
@@ -539,11 +523,7 @@ runDse(int argc, char **argv)
                    << ", \"detail_ops\": " << cell.stats.detailOps
                    << ", \"intervals\": " << cell.intervals
                    << ", \"k\": " << cell.k
-                   << ", \"reps\": " << cell.reps
-                   << ", \"ckpt_restores\": "
-                   << cell.stats.ckptRestores
-                   << ", \"ckpt_writes\": " << cell.stats.ckptWrites
-                   << "}";
+                   << ", \"reps\": " << cell.reps << "}";
                 first = false;
             }
         os << (first ? "]" : "\n      ]") << "\n    }";

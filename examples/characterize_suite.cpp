@@ -112,10 +112,6 @@ main(int argc, char **argv)
         if (cfg.sampling.enabled) {
             StageTimer stage(session, "sample");
             SampledCharacterizer sampler(runner, cfg.sampling);
-            // --ckpt: restore representative-interval state from the
-            // shared cache instead of re-warming (docs/CHECKPOINT.md).
-            if (cfg.ckpt.enabled)
-                sampler.setCheckpoints(checkpointContextFor(cfg));
             std::vector<SampledWorkloadResult> details;
             SweepReport sampled_report;
             Matrix estimated = sampler.runAll(&details,

@@ -14,7 +14,6 @@
  *   bds/stack.h      the Hadoop/Spark/Hive/... software-stack engines
  *   bds/core.h       the characterize→analyze→subset pipeline
  *   bds/sample.h     sampled simulation (record/profile/pick/replay)
- *   bds/ckpt.h       interval checkpoint/restore of simulator state
  *   bds/obs.h        RunConfig, sessions, manifests, tracing
  *   bds/store.h      shared stores: leases, eviction, degradation
  *   bds/serve.h      the characterization service (engine + server)
@@ -33,7 +32,6 @@
 #include "bds/stack.h"
 #include "bds/core.h"
 #include "bds/sample.h"
-#include "bds/ckpt.h"
 #include "bds/obs.h"
 #include "bds/store.h"
 #include "bds/serve.h"

@@ -3,8 +3,7 @@
  * Facade: sampled simulation — the end-to-end characterizer
  * (bds::SampledCharacterizer, SamplingOptions), the capture/replay
  * seam design-space sweeps replay per geometry (sample/capture.h),
- * and the warmup-aware replayer with checkpoint/restore
- * (bds::SampledReplayer).
+ * and the warmup-aware replayer (bds::SampledReplayer).
  */
 
 #ifndef BDS_BDS_SAMPLE_H

@@ -4,7 +4,7 @@
  * engine and its content-addressed result store (bds::ServeEngine,
  * ResultStore), the line/socket server (bds::ServeServer), the wire
  * request schema (serve/request.h) and the canonical config hashing
- * (bds::runConfigHashHex) cells and checkpoints are keyed by.
+ * (bds::runConfigHashHex) cells are keyed by.
  */
 
 #ifndef BDS_BDS_SERVE_H

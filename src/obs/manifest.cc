@@ -98,13 +98,6 @@ writeRunManifest(std::ostream &os, const RunManifest &m)
            << (c.serve.bypassStore ? "true" : "false")
            << ", \"request_log\": \""
            << jsonEscape(c.serve.logPath) << "\"}";
-    // Likewise, only checkpoint-enabled runs carry the block —
-    // manifests of runs without the knob stay byte-identical.
-    if (c.ckpt.enabled)
-        os << ",\n"
-           << "    \"checkpoint\": {\"enabled\": true, \"dir\": \""
-           << jsonEscape(c.ckpt.dir)
-           << "\", \"max_bytes\": " << c.ckpt.maxBytes << "}";
     os << "\n"
        << "  },\n"
        << "  \"stages\": [";
@@ -210,15 +203,8 @@ parseRunManifest(std::istream &is)
         m.config.serve.logPath =
             sv.at("request_log").asString();
     }
-
-    // Only checkpoint-enabled runs carry the checkpoint block.
-    if (cfg.has("checkpoint")) {
-        const JsonValue &ck = cfg.at("checkpoint");
-        m.config.ckpt.enabled = ck.at("enabled").asBool();
-        m.config.ckpt.dir = ck.at("dir").asString();
-        if (ck.has("max_bytes"))
-            m.config.ckpt.maxBytes = ck.at("max_bytes").asUint();
-    }
+    // A "checkpoint" block, written by builds that still had interval
+    // checkpoints, is ignored like any other unknown config key.
 
     for (const JsonValue &st : root.at("stages").asArray()) {
         StageTime stage;

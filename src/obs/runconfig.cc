@@ -185,19 +185,6 @@ RunConfig::applyEnv()
     if (const char *v = std::getenv("BDS_SERVE_LOG"))
         serve.logPath = v;
 
-    if (const char *v = std::getenv("BDS_CKPT_DIR")) {
-        if (*v == '\0')
-            BDS_FATAL("BDS_CKPT_DIR must name a directory");
-        ckpt.dir = v;
-        ckpt.enabled = true;
-    }
-    // The explicit switch outranks the directory-implied enable, so
-    // BDS_CKPT=0 can park a configured cache without unsetting its dir.
-    if (const char *v = std::getenv("BDS_CKPT"))
-        ckpt.enabled = parseSwitch("BDS_CKPT", v);
-    if (const char *v = std::getenv("BDS_CKPT_MAX_BYTES"))
-        ckpt.maxBytes = parseUint("BDS_CKPT_MAX_BYTES", v);
-
     if (const char *v = std::getenv("BDS_TRACE"))
         trace = parseSwitch("BDS_TRACE", v);
     if (const char *v = std::getenv("BDS_TRACE_FILE")) {
@@ -323,18 +310,6 @@ RunConfig::applyArgs(const std::vector<std::string> &args)
             serve.bypassStore = true;
         } else if (flag == "--serve-log") {
             serve.logPath = take(flag, inlineVal, hasInline);
-        } else if (flag == "--ckpt") {
-            ckpt.enabled = true;
-        } else if (flag == "--no-ckpt") {
-            ckpt.enabled = false;
-        } else if (flag == "--ckpt-dir") {
-            ckpt.dir = take(flag, inlineVal, hasInline);
-            if (ckpt.dir.empty())
-                BDS_FATAL("--ckpt-dir must name a directory");
-            ckpt.enabled = true;
-        } else if (flag == "--ckpt-max-bytes") {
-            ckpt.maxBytes = parseUint(
-                "--ckpt-max-bytes", take(flag, inlineVal, hasInline));
         } else {
             rest.push_back(arg);
         }
@@ -390,12 +365,6 @@ RunConfig::describe() const
             os << ",max-bytes=" << serve.maxStoreBytes;
         if (serve.bypassStore)
             os << ",bypass";
-        os << ")";
-    }
-    if (ckpt.enabled) {
-        os << " ckpt(dir=" << ckpt.dir;
-        if (ckpt.maxBytes)
-            os << ",max-bytes=" << ckpt.maxBytes;
         os << ")";
     }
     if (trace)

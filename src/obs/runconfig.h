@@ -69,12 +69,6 @@
  *   BDS_SERVE_LOG      = <path>             binary request log
  *   BDS_STORE_MAX_BYTES = <bytes>           result-store byte budget
  *                                           (0 = unbounded)
- *   BDS_CKPT           = 0 | 1              interval checkpoint/
- *                                           restore
- *   BDS_CKPT_DIR       = <dir>              checkpoint cache
- *                                           directory (implies on)
- *   BDS_CKPT_MAX_BYTES = <bytes>            checkpoint-cache byte
- *                                           budget (0 = unbounded)
  *
  * Flags (each also accepts --flag=value):
  *   --scale S, --seed N, --threads N, --machine SPEC,
@@ -86,8 +80,7 @@
  *   --fault-io L,
  *   --serve-socket PATH, --serve-cache DIR, --serve-max-inflight N,
  *   --serve-max-queue N, --serve-bypass, --serve-log PATH,
- *   --store-max-bytes N,
- *   --ckpt, --no-ckpt, --ckpt-dir DIR, --ckpt-max-bytes N
+ *   --store-max-bytes N
  */
 
 #ifndef BDS_OBS_RUNCONFIG_H
@@ -97,7 +90,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/options.h"
 #include "common/parallel.h"
 #include "fault/options.h"
 #include "sample/options.h"
@@ -152,16 +144,6 @@ struct RunConfig
      * library stack.
      */
     ServeOptions serve;
-
-    /**
-     * Interval checkpoint/restore knobs (BDS_CKPT, BDS_CKPT_DIR).
-     * Off by default — a run without the knob warms from zero,
-     * bitwise-identical to the pre-checkpoint tree. Interpreted by
-     * checkpointContextFor() (src/ckpt/context.h) where the cache
-     * machinery lives; like the structs above, the options header is
-     * dependency-free so bds_obs stays at the bottom of the stack.
-     */
-    CkptOptions ckpt;
 
     /**
      * Metric subset by canonical schema name; empty means the full

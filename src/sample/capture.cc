@@ -82,8 +82,7 @@ captureWorkload(const WorkloadRunner &runner,
 
 SampledWorkloadResult
 replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
-              const SamplingOptions &opts,
-              const CheckpointContext *ckpt)
+              const SamplingOptions &opts)
 {
     // A trace records the stack engines' work sharding across cores;
     // replaying it on a machine with a different core count would
@@ -102,13 +101,6 @@ replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
     SystemModel sys(machine);
     SampledReplayer replayer(sys, opts.intervalUops,
                              opts.warmupIntervals);
-    // Checkpoints are keyed to the op stream; a retry attempt records
-    // over an attempt-salted seed, so only attempt 0 may touch them.
-    const AttemptContext *attempt = currentAttempt();
-    if (ckpt && ckpt->enabled()
-        && (!attempt || attempt->attempt == 0))
-        replayer.setCheckpoints(
-            ckpt->cache, ckpt->keyFor(cap.id.name(), cap.node));
     SampledReplayStats stats;
     std::vector<PmcCounters> snaps;
     {

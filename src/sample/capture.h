@@ -22,7 +22,6 @@
 #ifndef BDS_SAMPLE_CAPTURE_H
 #define BDS_SAMPLE_CAPTURE_H
 
-#include "ckpt/context.h"
 #include "sample/characterizer.h"
 #include "sample/options.h"
 #include "sample/picker.h"
@@ -66,18 +65,10 @@ WorkloadCapture captureWorkload(const WorkloadRunner &runner,
  * corruption injection point and the non-finite estimate check.
  * Raises Error(InvalidConfig) when `machine` has a different core
  * count than the capture was recorded on.
- *
- * `ckpt` (optional) attaches the run's checkpoint context: the
- * replay restores representative-entry snapshots when present and
- * writes them when absent (docs/CHECKPOINT.md). Ignored on retry
- * attempts — attempt-salted record seeds change the op stream, so a
- * retry's intervals must never alias attempt 0's checkpoints.
  */
 SampledWorkloadResult replayCapture(const WorkloadCapture &cap,
                                     const NodeConfig &machine,
-                                    const SamplingOptions &opts,
-                                    const CheckpointContext *ckpt
-                                    = nullptr);
+                                    const SamplingOptions &opts);
 
 } // namespace bds
 

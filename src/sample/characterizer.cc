@@ -31,7 +31,7 @@ SampledCharacterizer::runOnNode(const WorkloadId &id,
     // monolithic pipeline this method used to inline.
     const WorkloadCapture cap =
         captureWorkload(runner_, opts_, id, node);
-    return replayCapture(cap, runner_.config(), opts_, &ckpt_);
+    return replayCapture(cap, runner_.config(), opts_);
 }
 
 SampledWorkloadResult
@@ -54,8 +54,6 @@ SampledCharacterizer::run(const WorkloadId &id) const
             total.stats.detailOps += per.stats.detailOps;
             total.stats.warmOps += per.stats.warmOps;
             total.stats.skippedOps += per.stats.skippedOps;
-            total.stats.ckptRestores += per.stats.ckptRestores;
-            total.stats.ckptWrites += per.stats.ckptWrites;
             total.numIntervals += per.numIntervals;
             total.k += per.k;
             total.numReps += per.numReps;

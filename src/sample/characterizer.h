@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "ckpt/context.h"
 #include "sample/estimate.h"
 #include "sample/options.h"
 #include "sample/replay.h"
@@ -74,17 +73,6 @@ class SampledCharacterizer
     /** The sampling options in effect. */
     const SamplingOptions &options() const { return opts_; }
 
-    /**
-     * Attach a run's checkpoint context (checkpointContextFor): every
-     * replay restores representative-entry snapshots when present in
-     * the shared cache and writes them when absent. A disabled
-     * context (the default) leaves replays warming from zero.
-     */
-    void setCheckpoints(CheckpointContext ctx) { ckpt_ = std::move(ctx); }
-
-    /** The checkpoint context in effect (disabled by default). */
-    const CheckpointContext &checkpoints() const { return ckpt_; }
-
   private:
     /** Sample one node's shard of a workload. */
     SampledWorkloadResult runOnNode(const WorkloadId &id,
@@ -92,7 +80,6 @@ class SampledCharacterizer
 
     const WorkloadRunner &runner_;
     SamplingOptions opts_;
-    CheckpointContext ckpt_;
 };
 
 } // namespace bds

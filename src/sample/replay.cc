@@ -1,11 +1,8 @@
 #include "sample/replay.h"
 
 #include <algorithm>
-#include <map>
 
-#include "ckpt/state.h"
 #include "common/log.h"
-#include "fault/error.h"
 
 namespace bds {
 
@@ -15,19 +12,8 @@ namespace {
 enum class IntervalMode : std::uint8_t
 {
     Skip,   ///< fast-forward (DMA only)
-    Jump,   ///< checkpoint-covered: no ops, no DMA
     Warm,   ///< counter-frozen functional warming
     Detail, ///< live counters, snapshot at the end
-};
-
-/** Checkpoint traffic of one replay: the probed payloads + cache. */
-struct CkptPlan
-{
-    const CheckpointCache *cache = nullptr;
-    const CheckpointKey *key = nullptr;
-
-    /** Payloads restored at detail-interval entry, by interval. */
-    std::map<std::size_t, std::string> payloads;
 };
 
 /**
@@ -41,11 +27,9 @@ class PlanSink : public OpSink
     PlanSink(SystemModel &sys, std::uint64_t interval_uops,
              const std::vector<IntervalMode> &plan,
              const std::vector<int> &rep_of,
-             std::vector<PmcCounters> &snaps, SampledReplayStats &stats,
-             CkptPlan *ckpt)
+             std::vector<PmcCounters> &snaps, SampledReplayStats &stats)
         : sys_(sys), intervalUops_(interval_uops), plan_(plan),
-          repOf_(rep_of), snaps_(snaps), stats_(stats), ckpt_(ckpt),
-          tailMode_(ckpt ? IntervalMode::Jump : IntervalMode::Warm)
+          repOf_(rep_of), snaps_(snaps), stats_(stats)
     {
         enterInterval(0);
         left_ = intervalUops_;
@@ -64,7 +48,6 @@ class PlanSink : public OpSink
         ++stats_.totalOps;
         switch (mode_) {
           case IntervalMode::Skip:
-          case IntervalMode::Jump:
             ++stats_.skippedOps;
             return;
           case IntervalMode::Warm:
@@ -77,16 +60,10 @@ class PlanSink : public OpSink
         sys_.consume(core, op);
     }
 
-    /**
-     * DMA events reach the node in every mode except Jump: a jumped
-     * range ends at a restored checkpoint whose snapshot already
-     * embodies the range's DMA effects (or at the end of the trace,
-     * after which nothing is observed).
-     */
+    /** DMA events always reach the node, whatever the mode. */
     void dma(std::uint64_t addr, std::uint64_t bytes)
     {
-        if (mode_ != IntervalMode::Jump)
-            sys_.dmaFill(addr, bytes);
+        sys_.dmaFill(addr, bytes);
     }
 
     /** Close the final interval after the stream ends. */
@@ -100,43 +77,13 @@ class PlanSink : public OpSink
     void enterInterval(std::size_t interval)
     {
         current_ = interval;
-        mode_ = interval < plan_.size() ? plan_[interval] : tailMode_;
-        if (mode_ != IntervalMode::Detail) {
-            sys_.setCounterFreeze(true);
-            return;
-        }
-        // Detail entry is the checkpoint point: unfreeze and zero the
-        // counters first, so the saved (and restored) state is
-        // exactly what detail replay starts from.
-        sys_.setCounterFreeze(false);
-        sys_.resetCounters();
-        if (!ckpt_)
-            return;
-        auto it = ckpt_->payloads.find(interval);
-        if (it != ckpt_->payloads.end()) {
-            // The probe already validated container checksum, version
-            // and machine text; equal machine text implies every
-            // geometry guard below matches, so a loadState failure
-            // here would be a program bug, not an input — let the
-            // typed error propagate.
-            StateSource src(it->second,
-                            ckpt_->cache->path(*ckpt_->key, interval));
-            sys_.loadState(src);
-            src.finish();
-            ++stats_.ckptRestores;
+        mode_ = interval < plan_.size() ? plan_[interval]
+                                        : IntervalMode::Warm;
+        if (mode_ == IntervalMode::Detail) {
+            sys_.setCounterFreeze(false);
+            sys_.resetCounters();
         } else {
-            StateSink sink;
-            sys_.saveState(sink);
-            try {
-                ckpt_->cache->store(*ckpt_->key, interval,
-                                    sink.take());
-                ++stats_.ckptWrites;
-            } catch (const Error &e) {
-                // A full disk must degrade the cache, not the run.
-                warn(std::string("checkpoint: cannot store interval "
-                                 "snapshot: ")
-                     + e.what());
-            }
+            sys_.setCounterFreeze(true);
         }
     }
 
@@ -154,8 +101,6 @@ class PlanSink : public OpSink
     const std::vector<int> &repOf_;
     std::vector<PmcCounters> &snaps_;
     SampledReplayStats &stats_;
-    CkptPlan *ckpt_;
-    IntervalMode tailMode_;
 
     std::uint64_t left_ = 0; ///< uops left in the current interval
     std::size_t current_ = 0;
@@ -172,14 +117,6 @@ SampledReplayer::SampledReplayer(SystemModel &sys,
 {
     if (intervalUops_ == 0)
         BDS_FATAL("interval size must be at least one uop");
-}
-
-void
-SampledReplayer::setCheckpoints(
-    std::shared_ptr<const CheckpointCache> cache, CheckpointKey key)
-{
-    ckptCache_ = std::move(cache);
-    ckptKey_ = std::move(key);
 }
 
 std::vector<PmcCounters>
@@ -214,49 +151,9 @@ SampledReplayer::replay(const TraceRecorder &trace,
         }
     }
 
-    // Probe the checkpoint cache up front — never mid-stream, so a
-    // corrupt entry can still fall back to warming from zero. Every
-    // interval strictly before a restorable representative is
-    // covered by its snapshot and jumps; a representative without a
-    // valid checkpoint keeps its warm-up plan intact and writes one
-    // at detail entry. Reps arrive in ascending interval order
-    // (picker contract), so the cursor walks the stream once.
-    CkptPlan ckpt;
-    if (ckptCache_) {
-        ckpt.cache = ckptCache_.get();
-        ckpt.key = &ckptKey_;
-        std::size_t cursor = 0;
-        for (const Representative &r : picked.reps) {
-            std::string payload;
-            bool have = false;
-            try {
-                have = ckptCache_->load(ckptKey_, r.interval,
-                                        &payload);
-                if (!have)
-                    noteCkptMiss();
-            } catch (const std::exception &e) {
-                // Corrupt/truncated/foreign entry: report, warm from
-                // zero, rewrite at detail entry.
-                warn(std::string("checkpoint: ") + e.what());
-                noteCkptFallback();
-            }
-            if (have) {
-                ckpt.payloads[r.interval] = std::move(payload);
-                for (std::size_t i = cursor; i < r.interval; ++i)
-                    plan[i] = IntervalMode::Jump;
-            }
-            cursor = r.interval + 1;
-        }
-        // Nothing is observed after the last representative's
-        // snapshot, so the tail never needs warming either.
-        for (std::size_t i = cursor; i < n; ++i)
-            plan[i] = IntervalMode::Jump;
-    }
-
     std::vector<PmcCounters> snaps(picked.reps.size());
     SampledReplayStats local;
-    PlanSink sink(sys_, intervalUops_, plan, rep_of, snaps, local,
-                  ckptCache_ ? &ckpt : nullptr);
+    PlanSink sink(sys_, intervalUops_, plan, rep_of, snaps, local);
     trace.replay(sink, [&](std::uint64_t addr, std::uint64_t bytes) {
         sink.dma(addr, bytes);
     });

@@ -1,6 +1,6 @@
 /**
  * @file
- * Warmup-aware sampled replay, with interval checkpoint/restore.
+ * Warmup-aware sampled replay.
  *
  * A SampledReplayer drives a recorded op stream into a SystemModel,
  * simulating only the chosen representative intervals with live
@@ -8,27 +8,15 @@
  * in the SystemModel's counter-freeze mode, so caches, TLBs, the
  * branch predictor and coherence advance while PmcCounters stand
  * still — or fast-forwarded entirely when outside the warmup window
- * (DMA events still apply, keeping the memory image in sync).
- *
- * With a checkpoint cache attached (setCheckpoints), the replayer
- * additionally snapshots the full SystemModel state at each
- * representative's entry — after the unfreeze + counter reset, so
- * the payload is exactly what detail replay starts from — and on a
- * later run restores those snapshots instead of warming the
- * intervals that precede them. Restored replays are bitwise-identical
- * to warming from zero (test-pinned); a corrupt, truncated or
- * foreign checkpoint is a typed error the replayer converts into a
- * transparent warm-from-zero fallback for that interval.
+ * (DMA events always apply, keeping the memory image in sync).
  */
 
 #ifndef BDS_SAMPLE_REPLAY_H
 #define BDS_SAMPLE_REPLAY_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "sample/picker.h"
 #include "trace/recorder.h"
 #include "uarch/pmc.h"
@@ -43,8 +31,6 @@ struct SampledReplayStats
     std::uint64_t detailOps = 0;  ///< simulated with live counters
     std::uint64_t warmOps = 0;    ///< replayed counter-frozen
     std::uint64_t skippedOps = 0; ///< fast-forwarded entirely
-    std::uint64_t ckptRestores = 0; ///< representatives restored
-    std::uint64_t ckptWrites = 0;   ///< checkpoints written
 };
 
 /** Replays a trace, detailing only the representative intervals. */
@@ -59,18 +45,6 @@ class SampledReplayer
      */
     SampledReplayer(SystemModel &sys, std::uint64_t interval_uops,
                     unsigned warmup_intervals);
-
-    /**
-     * Attach a checkpoint cache. `key` identifies this replay's
-     * stream (config hash + machine + workload + node); the interval
-     * index is appended per representative. Before replaying, every
-     * representative's checkpoint is probed: present-and-valid ones
-     * are restored (the preceding intervals jump — no warming, no
-     * DMA, all already embodied in the snapshot), the rest warm as
-     * usual and are written at detail entry for the next run.
-     */
-    void setCheckpoints(std::shared_ptr<const CheckpointCache> cache,
-                        CheckpointKey key);
 
     /**
      * Replay the trace and capture per-representative counters.
@@ -88,8 +62,6 @@ class SampledReplayer
     SystemModel &sys_;
     std::uint64_t intervalUops_;
     unsigned warmupIntervals_;
-    std::shared_ptr<const CheckpointCache> ckptCache_;
-    CheckpointKey ckptKey_;
 };
 
 } // namespace bds

@@ -5,7 +5,6 @@
 #include <ctime>
 #include <sstream>
 
-#include "ckpt/context.h"
 #include "core/csvio.h"
 #include "core/pipeline.h"
 #include "core/report.h"
@@ -128,10 +127,6 @@ ServeEngine::computeCell(const RunConfig &cfg)
     SweepReport report;
     if (cfg.sampling.enabled) {
         SampledCharacterizer sampler(runner, cfg.sampling);
-        // The checkpoint cache rides along: a recomputed cell (store
-        // bypassed, or a cell retired by a schema bump) still reuses
-        // the representative-entry snapshots keyed to its config.
-        sampler.setCheckpoints(checkpointContextFor(cfg));
         metrics = sampler.runAll(nullptr, &report);
     } else {
         metrics = runner.runAll(nullptr, nullptr, &report);
@@ -304,7 +299,6 @@ ServeEngine::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ServeStats out = stats_;
-    out.ckpt = ckptStats();
     out.store = storeStats();
     return out;
 }

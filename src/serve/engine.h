@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/checkpoint.h"
 #include "fault/error.h"
 #include "obs/runconfig.h"
 #include "serve/request.h"
@@ -99,14 +98,6 @@ struct ServeStats
      * process-wide storeStats() when the snapshot is taken.
      */
     StoreStats store;
-
-    /**
-     * Interval checkpoint traffic of this process's sampled replays
-     * (src/ckpt): populated from the process-wide ckptStats() when
-     * the snapshot is taken, so the `stats` verb and --stats-json
-     * show how much re-characterization the checkpoint cache saved.
-     */
-    CkptStats ckpt;
 };
 
 /** The transport-independent characterization service. */

@@ -54,10 +54,7 @@ printUsage(std::ostream &os)
           "  --serve-log FILE          append requests to a binary "
           "log\n"
           "  --payload-dir DIR         mirror payloads to DIR/<i>.csv\n"
-          "  --stats-json FILE         final counters as JSON\n"
-          "  --ckpt / --ckpt-dir DIR   interval checkpoint cache for\n"
-          "                            sampled recomputes "
-          "(docs/CHECKPOINT.md)\n\n"
+          "  --stats-json FILE         final counters as JSON\n\n"
           "plus the common BDS_* knobs: --scale/--seed/--threads/\n"
           "--machine/--sampled/--trace/--manifest... "
           "(src/obs/runconfig.h).\n";
@@ -90,14 +87,6 @@ writeStatsJson(const std::string &path, const bds::ServeStats &s)
         << "    \"lease_takeovers\": " << s.store.leaseTakeovers
         << ",\n"
         << "    \"index_rebuilds\": " << s.store.indexRebuilds << "\n"
-        << "  },\n"
-        << "  \"ckpt\": {\n"
-        << "    \"hits\": " << s.ckpt.hits << ",\n"
-        << "    \"misses\": " << s.ckpt.misses << ",\n"
-        << "    \"writes\": " << s.ckpt.writes << ",\n"
-        << "    \"fallbacks\": " << s.ckpt.fallbacks << ",\n"
-        << "    \"bytes_read\": " << s.ckpt.bytesRead << ",\n"
-        << "    \"bytes_written\": " << s.ckpt.bytesWritten << "\n"
         << "  }\n"
         << "}\n";
 }

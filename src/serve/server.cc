@@ -147,12 +147,6 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
         out << "stats requests=" << s.requests << " hits=" << s.hits
             << " misses=" << s.misses << " errors=" << s.errors
             << " bypassed=" << s.bypassed << " shed=" << s.shed
-            << " ckpt_hits=" << s.ckpt.hits
-            << " ckpt_misses=" << s.ckpt.misses
-            << " ckpt_writes=" << s.ckpt.writes
-            << " ckpt_fallbacks=" << s.ckpt.fallbacks
-            << " ckpt_bytes_read=" << s.ckpt.bytesRead
-            << " ckpt_bytes_written=" << s.ckpt.bytesWritten
             << " store_publishes=" << s.store.publishes
             << " store_publish_skipped=" << s.store.publishSkipped
             << " store_evicted=" << s.store.evicted

@@ -1,7 +1,7 @@
 /**
  * @file
- * SharedStore: the fleet-safe on-disk store both ServeEngine's
- * result store and the checkpoint cache sit on (docs/STORAGE.md).
+ * SharedStore: the fleet-safe on-disk store ServeEngine's result
+ * store sits on (docs/STORAGE.md).
  *
  * One SharedStore is one directory of immutable entry files plus
  * three kinds of coordination state:
@@ -84,8 +84,8 @@ struct SharedStoreOptions
     std::string dir;
 
     /**
-     * Entry filename suffix (".res", ".ckpt"): only files ending in
-     * it are entries — everything else in the directory (index,
+     * Entry filename suffix (".res"): only files ending in it are
+     * entries — everything else in the directory (index,
      * leases, temps, probes) is coordination state and exempt from
      * budget accounting and eviction.
      */

@@ -1,7 +1,6 @@
 #include "uarch/branch.h"
 
 #include "common/log.h"
-#include "fault/error.h"
 
 namespace bds {
 
@@ -11,35 +10,6 @@ GshareBranchPredictor::GshareBranchPredictor(unsigned history_bits)
         BDS_FATAL("gshare history bits must be in [1, 24]");
     mask_ = (1u << history_bits) - 1;
     table_.assign(1u << history_bits, 2); // weakly taken
-}
-
-void
-GshareBranchPredictor::saveState(StateSink &sink) const
-{
-    sink.section("BPRD");
-    sink.u64(table_.size());
-    sink.u32(history_);
-    // Dense: 2-bit counters pack poorly as sparse records and the
-    // whole table is at most 2^24 bytes.
-    for (std::uint8_t ctr : table_)
-        sink.u8(ctr);
-}
-
-void
-GshareBranchPredictor::loadState(StateSource &src)
-{
-    src.section("BPRD");
-    src.check("gshare.table_size", table_.size());
-    history_ = src.u32() & mask_;
-    for (std::uint8_t &ctr : table_) {
-        std::uint8_t v = src.u8();
-        if (v > 3)
-            BDS_RAISE(ErrorCode::Io,
-                      "gshare state holds counter value "
-                          << unsigned(v)
-                          << " outside [0, 3] (corrupt payload)");
-        ctr = v;
-    }
 }
 
 } // namespace bds

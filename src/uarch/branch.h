@@ -17,8 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/state.h"
-
 namespace bds {
 
 /** Gshare predictor with configurable history length. */
@@ -50,12 +48,6 @@ class GshareBranchPredictor
         history_ = ((history_ << 1) | (taken ? 1u : 0u)) & mask_;
         return prediction == taken;
     }
-
-    /** Serialize the global history and the full counter table. */
-    void saveState(StateSink &sink) const;
-
-    /** Restore a saveState() payload; Error(Io) on any mismatch. */
-    void loadState(StateSource &src);
 
   private:
     std::uint32_t mask_;    ///< table size - 1

@@ -1,9 +1,6 @@
 #include "uarch/cache.h"
 
-#include <algorithm>
-
 #include "common/log.h"
-#include "fault/error.h"
 
 namespace bds {
 
@@ -164,65 +161,6 @@ SetAssocCache::validLines() const
         if (t != kInvalidTag)
             ++n;
     return n;
-}
-
-void
-SetAssocCache::saveState(StateSink &sink) const
-{
-    sink.section("CACH");
-    // Geometry guard: a payload must only restore into a cache of
-    // the exact shape it was saved from.
-    sink.u64(cfg_.sizeBytes);
-    sink.u64(cfg_.assoc);
-    sink.u64(cfg_.lineBytes);
-    sink.u64(tick_);
-    sink.u64(validLines());
-    for (std::size_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i] == kInvalidTag)
-            continue;
-        sink.u64(i);
-        sink.u64(tags_[i]);
-        sink.u64(lru_[i]);
-        sink.u8(static_cast<std::uint8_t>(states_[i]));
-        sink.u8(flags_[i]);
-    }
-}
-
-void
-SetAssocCache::loadState(StateSource &src)
-{
-    src.section("CACH");
-    src.check("cache.size_bytes", cfg_.sizeBytes);
-    src.check("cache.assoc", cfg_.assoc);
-    src.check("cache.line_bytes", cfg_.lineBytes);
-    tick_ = src.u64();
-    std::uint64_t valid = src.u64();
-    if (valid > tags_.size())
-        BDS_RAISE(ErrorCode::Io,
-                  "cache state declares " << valid
-                      << " valid lines but the cache has only "
-                      << tags_.size() << " slots (corrupt payload)");
-    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
-    std::fill(lru_.begin(), lru_.end(), 0);
-    std::fill(states_.begin(), states_.end(), CoherenceState::Invalid);
-    std::fill(flags_.begin(), flags_.end(), 0);
-    for (std::uint64_t n = 0; n < valid; ++n) {
-        std::uint64_t slot = src.u64();
-        if (slot >= tags_.size())
-            BDS_RAISE(ErrorCode::Io,
-                      "cache state names slot " << slot
-                          << " outside the " << tags_.size()
-                          << "-slot array (corrupt payload)");
-        tags_[slot] = src.u64();
-        lru_[slot] = src.u64();
-        std::uint8_t state = src.u8();
-        if (state > static_cast<std::uint8_t>(CoherenceState::Modified))
-            BDS_RAISE(ErrorCode::Io,
-                      "cache state holds invalid coherence value "
-                          << unsigned(state) << " (corrupt payload)");
-        states_[slot] = static_cast<CoherenceState>(state);
-        flags_[slot] = src.u8();
-    }
 }
 
 } // namespace bds

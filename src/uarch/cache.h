@@ -28,8 +28,6 @@
 #include <functional>
 #include <vector>
 
-#include "ckpt/state.h"
-
 namespace bds {
 
 /** Coherence state of a cached line. */
@@ -254,23 +252,6 @@ class SetAssocCache
 
     /** The set-index strategy this geometry selected (for tests). */
     SetMapKind setMapKind() const { return setMap_; }
-
-    /**
-     * Serialize the full replacement-relevant state — the LRU tick
-     * clock plus every valid line's slot, tag, LRU stamp, coherence
-     * state and dirty/shared flags — preceded by a geometry guard.
-     * Valid lines are stored sparsely (a warm cache is usually far
-     * from full), so payload size tracks occupancy, not capacity.
-     */
-    void saveState(StateSink &sink) const;
-
-    /**
-     * Restore a saveState() payload into this cache. The geometry
-     * guard must match this cache's configuration; any mismatch or
-     * structural violation is a typed Error(Io) and the cache is left
-     * in an unspecified but valid state (callers discard it).
-     */
-    void loadState(StateSource &src);
 
   private:
     /** Tag value of an invalid way; unreachable as a line address. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/error.h"
-
 namespace bds {
 
 CoreModel::CoreModel(const NodeConfig &cfg)
@@ -75,74 +73,6 @@ CoreModel::accountLlcMiss(bool dependent)
     }
 
     return overlap;
-}
-
-void
-CoreModel::saveState(StateSink &sink) const
-{
-    sink.section("CORE");
-    l1i.saveState(sink);
-    l1d.saveState(sink);
-    l2.saveState(sink);
-    tlb.saveState(sink);
-    bp.saveState(sink);
-    pmc.saveState(sink);
-    sink.f64(clock);
-    sink.u64(uopClock);
-    sink.u64(lastFetchLine);
-
-    // Rings in logical oldest-first order: the restored ring starts
-    // at head 0, which is behaviorally identical (lfbInFlight and
-    // accountLlcMiss only ever walk from the head).
-    sink.u64(lfbEntries_);
-    sink.u64(lfbCount_);
-    for (std::size_t k = 0; k < lfbCount_; ++k) {
-        const LfbEntry &e = lfb_[(lfbHead_ + k) % lfb_.size()];
-        sink.u64(e.line);
-        sink.f64(e.ready);
-    }
-    sink.u64(outCount_);
-    for (std::size_t k = 0; k < outCount_; ++k)
-        sink.f64(outstanding_[(outHead_ + k) % outstanding_.size()]);
-}
-
-void
-CoreModel::loadState(StateSource &src)
-{
-    src.section("CORE");
-    l1i.loadState(src);
-    l1d.loadState(src);
-    l2.loadState(src);
-    tlb.loadState(src);
-    bp.loadState(src);
-    pmc.loadState(src);
-    clock = src.f64();
-    uopClock = src.u64();
-    lastFetchLine = src.u64();
-
-    src.check("core.lfb_entries", lfbEntries_);
-    std::uint64_t lfb_count = src.u64();
-    if (lfb_count > lfb_.size())
-        BDS_RAISE(ErrorCode::Io,
-                  "core state declares " << lfb_count
-                      << " LFB entries, capacity is " << lfb_.size()
-                      << " (corrupt payload)");
-    lfbHead_ = 0;
-    lfbCount_ = static_cast<std::size_t>(lfb_count);
-    for (std::size_t k = 0; k < lfbCount_; ++k) {
-        lfb_[k].line = src.u64();
-        lfb_[k].ready = src.f64();
-    }
-    std::uint64_t out_count = src.u64();
-    if (out_count > outstanding_.size())
-        BDS_RAISE(ErrorCode::Io,
-                  "core state declares " << out_count
-                      << " outstanding misses, capacity is "
-                      << outstanding_.size() << " (corrupt payload)");
-    outHead_ = 0;
-    outCount_ = static_cast<std::size_t>(out_count);
-    for (std::size_t k = 0; k < outCount_; ++k)
-        outstanding_[k] = src.f64();
 }
 
 } // namespace bds

@@ -80,19 +80,6 @@ class CoreModel
     /** Last instruction-fetch line, to dedup per-line ifetches. */
     std::uint64_t lastFetchLine = UINT64_MAX;
 
-    /**
-     * Serialize everything private to the core: the three caches,
-     * TLBs, predictor, PMCs, both monotonic clocks, the fetch-line
-     * dedup register, and the LFB/MLP rings. Ring entries are stored
-     * in logical (oldest-first) order, so two cores whose rings hold
-     * the same entries at different physical offsets serialize
-     * identically.
-     */
-    void saveState(StateSink &sink) const;
-
-    /** Restore a saveState() payload; Error(Io) on any mismatch. */
-    void loadState(StateSource &src);
-
   private:
     struct LfbEntry
     {

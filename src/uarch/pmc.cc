@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "fault/error.h"
 #include "uarch/pmc_fields.h"
 
 namespace bds {
@@ -86,35 +85,6 @@ PmcCounters::operator+=(const PmcCounters &rhs)
     mlpSum += rhs.mlpSum;
     mlpSamples += rhs.mlpSamples;
     return *this;
-}
-
-void
-PmcCounters::saveState(StateSink &sink) const
-{
-    sink.section("PMCS");
-    sink.u32(kNumFields);
-#define BDS_PMC_U(f) sink.u64(f);
-#define BDS_PMC_D(f) sink.f64(f);
-    BDS_PMC_FIELDS(BDS_PMC_U, BDS_PMC_D)
-#undef BDS_PMC_U
-#undef BDS_PMC_D
-}
-
-void
-PmcCounters::loadState(StateSource &src)
-{
-    src.section("PMCS");
-    std::uint32_t fields = src.u32();
-    if (fields != kNumFields)
-        BDS_RAISE(ErrorCode::Io,
-                  "PMC state carries " << fields
-                      << " fields, expected " << kNumFields
-                      << " (schema drift)");
-#define BDS_PMC_U(f) f = src.u64();
-#define BDS_PMC_D(f) f = src.f64();
-    BDS_PMC_FIELDS(BDS_PMC_U, BDS_PMC_D)
-#undef BDS_PMC_U
-#undef BDS_PMC_D
 }
 
 } // namespace bds

@@ -12,8 +12,6 @@
 #include <array>
 #include <cstdint>
 
-#include "ckpt/state.h"
-
 namespace bds {
 
 /** Raw hardware-event counts for one core (or aggregated). */
@@ -108,16 +106,6 @@ struct PmcCounters
     /** Element-wise accumulate (for aggregating cores). */
     PmcCounters &operator+=(const PmcCounters &rhs);
 
-    /**
-     * Serialize all kNumFields counters in declaration order.
-     * Integral fields travel as u64 and cycle fields as f64 bit
-     * patterns, so the round trip is exact (toArray() is not: it
-     * narrows u64 counts into doubles).
-     */
-    void saveState(StateSink &sink) const;
-
-    /** Restore a saveState() payload; Error(Io) on any mismatch. */
-    void loadState(StateSource &src);
 };
 
 } // namespace bds

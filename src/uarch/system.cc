@@ -3,7 +3,6 @@
 #include <map>
 
 #include "common/log.h"
-#include "fault/error.h"
 
 namespace bds {
 
@@ -49,33 +48,6 @@ SystemModel::resetCounters()
 {
     for (auto &c : cores_)
         c.pmc = PmcCounters{};
-}
-
-void
-SystemModel::saveState(StateSink &sink) const
-{
-    sink.section("SYSM");
-    sink.u8(frozen_ ? 1 : 0);
-    sink.u64(cores_.size());
-    for (const CoreModel &c : cores_)
-        c.saveState(sink);
-    l3_.saveState(sink);
-}
-
-void
-SystemModel::loadState(StateSource &src)
-{
-    src.section("SYSM");
-    std::uint8_t frozen = src.u8();
-    if (frozen > 1)
-        BDS_RAISE(ErrorCode::Io,
-                  "system state holds freeze flag "
-                      << unsigned(frozen) << " (corrupt payload)");
-    src.check("system.num_cores", cores_.size());
-    frozen_ = frozen != 0;
-    for (CoreModel &c : cores_)
-        c.loadState(src);
-    l3_.loadState(src);
 }
 
 void

@@ -110,25 +110,6 @@ class SystemModel : public ExecTarget
     SetAssocCache &l3() { return l3_; }
 
     /**
-     * Serialize the full simulator state: the freeze flag, every
-     * core (private caches, TLBs, predictor, PMCs, clocks, LFB/MLP
-     * rings) and the shared L3 with its coherence/shared-ever flags.
-     * A SystemModel restored from this payload into an identically
-     * configured fresh instance continues bitwise-identically to the
-     * saved one (tests/ckpt/test_checkpoint.cc pins this).
-     */
-    void saveState(StateSink &sink) const;
-
-    /**
-     * Restore a saveState() payload. The payload's core count and
-     * every per-structure geometry guard must match this model's
-     * configuration; any mismatch or structural violation raises a
-     * typed Error(Io), after which the model must be discarded (it
-     * may be partially overwritten).
-     */
-    void loadState(StateSource &src);
-
-    /**
      * Verify the coherence and inclusion invariants; panics with a
      * description on violation. Checked properties:
      *  - a line Modified or Exclusive in one core's L2 is not valid

@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "ckpt/state.h"
-
 namespace bds {
 
 /** Outcome of one TLB translation. */
@@ -80,12 +78,6 @@ class TlbArray
         lru_[i] = ++tick_;
     }
 
-    /** Serialize the LRU clock and every valid translation. */
-    void saveState(StateSink &sink) const;
-
-    /** Restore a saveState() payload; Error(Io) on any mismatch. */
-    void loadState(StateSource &src);
-
   private:
     /** Page value of an invalid way; unreachable as a page number. */
     static constexpr std::uint64_t kInvalidPage = ~0ULL;
@@ -135,12 +127,6 @@ class TwoLevelTlb
     {
         return translate(dtlb_, addr);
     }
-
-    /** Serialize all three arrays (ITLB, DTLB, STLB). */
-    void saveState(StateSink &sink) const;
-
-    /** Restore a saveState() payload; Error(Io) on any mismatch. */
-    void loadState(StateSource &src);
 
   private:
     TlbOutcome translate(TlbArray &l1, std::uint64_t addr)

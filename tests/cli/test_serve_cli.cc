@@ -61,7 +61,7 @@ serveCmd(const std::string &requests, const std::string &extraEnv,
           "-u BDS_FAULT_ALLOC -u BDS_FAIL_POLICY "
           "-u BDS_SERVE_SOCKET -u BDS_SERVE_CACHE "
           "-u BDS_SERVE_MAX_INFLIGHT -u BDS_SERVE_BYPASS "
-          "-u BDS_SERVE_LOG -u BDS_CKPT -u BDS_CKPT_DIR "
+          "-u BDS_SERVE_LOG "
           "BDS_SCALE=quick BDS_SEED=42 BDS_THREADS=0 "
           "BDS_TRACE=0 BDS_MANIFEST=0 "
         + extraEnv + " " + BDS_SERVE_BIN + " " + extraArgs
@@ -168,9 +168,6 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
     EXPECT_EQ(frames[3].header,
               "stats requests=2 hits=1 misses=1 errors=0 bypassed=0"
               " shed=0"
-              " ckpt_hits=0 ckpt_misses=0 ckpt_writes=0"
-              " ckpt_fallbacks=0 ckpt_bytes_read=0"
-              " ckpt_bytes_written=0"
               " store_publishes=1 store_publish_skipped=0"
               " store_evicted=0 store_evicted_bytes=0"
               " store_downs=0 store_heals=0"
@@ -238,56 +235,6 @@ TEST(ServeCli, InjectedFaultIsQuarantinedAndTheDaemonKeepsServing)
 
     // Quarantined sweeps are served but never cached: the store
     // directory holds no entry to clean up.
-    wipeCache(cache, "");
-}
-
-TEST(ServeCli, CheckpointTrafficTravelsTheStatsVerb)
-{
-    const std::string cache =
-        ::testing::TempDir() + "bds_serve_cli_ckpt_cache";
-    const std::string ckpt =
-        ::testing::TempDir() + "bds_serve_cli_ckpt_dir";
-    // A stale checkpoint dir would make the first request warm and
-    // the miss assertions vacuous.
-    std::system(("rm -rf '" + ckpt + "'").c_str());
-
-    // Two identical sampled requests with the result store bypassed:
-    // both replay, the first writing interval checkpoints (misses),
-    // the second restoring them (hits).
-    const std::string out = capture(serveCmd(
-        "characterize scale=quick seed=42 sampled=1 bypass=1\\n"
-        "characterize scale=quick seed=42 sampled=1 bypass=1\\n"
-        "stats\\nquit\\n",
-        "", "--serve-cache " + cache + " --ckpt --ckpt-dir " + ckpt));
-
-    const std::vector<Frame> frames = parseFrames(out);
-    ASSERT_EQ(frames.size(), 4u) << out;
-    EXPECT_EQ(frames[0].header.rfind("ok id=0 ", 0), 0u)
-        << frames[0].header;
-    EXPECT_EQ(frames[1].header.rfind("ok id=1 ", 0), 0u)
-        << frames[1].header;
-    // The restore-identity contract across the process boundary: the
-    // restored replay serves byte-identical CSV.
-    EXPECT_EQ(frames[1].payload, frames[0].payload);
-
-    const std::string &stats = frames[2].header;
-    EXPECT_EQ(stats.rfind("stats ", 0), 0u) << stats;
-    EXPECT_GT(std::atol(field(stats, "ckpt_misses").c_str()), 0)
-        << stats;
-    EXPECT_GT(std::atol(field(stats, "ckpt_writes").c_str()), 0)
-        << stats;
-    EXPECT_GT(std::atol(field(stats, "ckpt_hits").c_str()), 0)
-        << stats;
-    EXPECT_GT(std::atol(field(stats, "ckpt_bytes_read").c_str()), 0)
-        << stats;
-    EXPECT_GT(std::atol(field(stats, "ckpt_bytes_written").c_str()),
-              0)
-        << stats;
-    EXPECT_EQ(std::atol(field(stats, "ckpt_fallbacks").c_str()), 0)
-        << stats;
-    EXPECT_EQ(frames[3].header, "bye");
-
-    std::system(("rm -rf '" + ckpt + "'").c_str());
     wipeCache(cache, "");
 }
 

@@ -116,45 +116,15 @@ TEST(ObsManifest, PreDseManifestsDefaultTheMachine)
     EXPECT_EQ(r.config.machineSpec, "default");
 }
 
-TEST(ObsManifest, CheckpointBlockRoundTripsAndIsOmittedWhenOff)
-{
-    // Off (the default): no block, and the manifest text stays
-    // byte-identical to the pre-checkpoint layout.
-    RunManifest plain = sampleManifest();
-    std::ostringstream off;
-    writeRunManifest(off, plain);
-    EXPECT_EQ(off.str().find("\"checkpoint\""), std::string::npos);
-    {
-        std::istringstream is(off.str());
-        RunManifest r = parseRunManifest(is);
-        EXPECT_FALSE(r.config.ckpt.enabled);
-    }
-
-    // On: the block records the directory and round-trips.
-    RunManifest m = sampleManifest();
-    m.config.ckpt.enabled = true;
-    m.config.ckpt.dir = "snap \"dir\"";
-    std::ostringstream on;
-    writeRunManifest(on, m);
-    EXPECT_NE(on.str().find("\"checkpoint\""), std::string::npos);
-    std::istringstream is(on.str());
-    RunManifest r = parseRunManifest(is);
-    EXPECT_TRUE(r.config.ckpt.enabled);
-    EXPECT_EQ(r.config.ckpt.dir, "snap \"dir\"");
-}
-
 TEST(ObsManifest, StoreBudgetFieldsRoundTripAndBackfillWhenAbsent)
 {
     // Round trip: the serve block carries the admission-queue bound
-    // and byte budgets; the checkpoint block carries its budget.
+    // and the byte budget.
     RunManifest m = sampleManifest();
     m.config.serve.enabled = true;
     m.config.serve.storeDir = "cache";
     m.config.serve.maxQueue = 5;
     m.config.serve.maxStoreBytes = 1 << 20;
-    m.config.ckpt.enabled = true;
-    m.config.ckpt.dir = "snaps";
-    m.config.ckpt.maxBytes = 4096;
 
     std::ostringstream os;
     writeRunManifest(os, m);
@@ -164,25 +134,31 @@ TEST(ObsManifest, StoreBudgetFieldsRoundTripAndBackfillWhenAbsent)
         EXPECT_EQ(r.config.serve.maxQueue, 5u);
         EXPECT_EQ(r.config.serve.maxStoreBytes,
                   static_cast<std::uint64_t>(1 << 20));
-        EXPECT_EQ(r.config.ckpt.maxBytes, 4096u);
     }
 
     // Back-compat: manifests written before the shared-store layer
-    // lack the new keys; the parser must default them, not fail.
+    // lack the new keys, and manifests written while interval
+    // checkpoints existed carry a "checkpoint" config block. The
+    // parser must default the former and ignore the latter, not fail.
     std::string text = os.str();
     for (const std::string needle :
          {std::string(", \"max_queue\": 5"),
-          std::string(", \"store_max_bytes\": 1048576"),
-          std::string(", \"max_bytes\": 4096")}) {
+          std::string(", \"store_max_bytes\": 1048576")}) {
         const std::size_t pos = text.find(needle);
         ASSERT_NE(pos, std::string::npos) << text;
         text.erase(pos, needle.size());
     }
+    const std::size_t config_end = text.find("\n  },\n  \"stages\"");
+    ASSERT_NE(config_end, std::string::npos) << text;
+    text.insert(config_end,
+                ",\n    \"checkpoint\": {\"enabled\": true, "
+                "\"dir\": \"snaps\", \"max_bytes\": 4096}");
     std::istringstream is(text);
     RunManifest r = parseRunManifest(is);
+    EXPECT_EQ(r.config.serve.storeDir, "cache");
     EXPECT_EQ(r.config.serve.maxQueue, 1024u);
     EXPECT_EQ(r.config.serve.maxStoreBytes, 0u);
-    EXPECT_EQ(r.config.ckpt.maxBytes, 0u);
+    EXPECT_EQ(r.stages.size(), m.stages.size());
 }
 
 TEST(ObsManifest, TraceDisabledWritesAnEmptyTracePath)

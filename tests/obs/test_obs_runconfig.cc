@@ -29,9 +29,8 @@ const char *const kEnvVars[] = {
     "BDS_FAULT_CORRUPT", "BDS_FAULT_ALLOC", "BDS_FAULT_STALL_MS",
     "BDS_FAULT_ATTEMPTS", "BDS_SERVE_SOCKET", "BDS_SERVE_CACHE",
     "BDS_SERVE_MAX_INFLIGHT", "BDS_SERVE_BYPASS", "BDS_SERVE_LOG",
-    "BDS_MACHINE",       "BDS_CKPT",        "BDS_CKPT_DIR",
-    "BDS_FAULT_IO",      "BDS_SERVE_MAX_QUEUE",
-    "BDS_STORE_MAX_BYTES", "BDS_CKPT_MAX_BYTES",
+    "BDS_MACHINE",       "BDS_FAULT_IO",    "BDS_SERVE_MAX_QUEUE",
+    "BDS_STORE_MAX_BYTES",
 };
 
 /** Clears every BDS_* variable for the test, restoring it after. */
@@ -379,13 +378,11 @@ TEST_F(ObsRunConfigTest, StoreSafetyKnobsOverlayFromTheEnvironment)
 {
     ::setenv("BDS_SERVE_MAX_QUEUE", "7", 1);
     ::setenv("BDS_STORE_MAX_BYTES", "1048576", 1);
-    ::setenv("BDS_CKPT_MAX_BYTES", "2048", 1);
     ::setenv("BDS_FAULT_IO", "store.enospc", 1);
 
     RunConfig cfg = RunConfig::resolve("t");
     EXPECT_EQ(cfg.serve.maxQueue, 7u);
     EXPECT_EQ(cfg.serve.maxStoreBytes, 1048576u);
-    EXPECT_EQ(cfg.ckpt.maxBytes, 2048u);
     EXPECT_EQ(cfg.fault.ioAt, "store.enospc");
     EXPECT_TRUE(cfg.fault.any());
 }
@@ -399,11 +396,10 @@ TEST_F(ObsRunConfigTest, StoreSafetyFlagsWinOverTheEnvironment)
     cfg.applyEnv();
     std::vector<std::string> rest = cfg.applyArgs(
         {"--serve-max-queue=5", "--store-max-bytes", "123",
-         "--ckpt-max-bytes=77", "--fault-io", "store.write"});
+         "--fault-io", "store.write"});
     EXPECT_TRUE(rest.empty());
     EXPECT_EQ(cfg.serve.maxQueue, 5u);
     EXPECT_EQ(cfg.serve.maxStoreBytes, 123u);
-    EXPECT_EQ(cfg.ckpt.maxBytes, 77u);
     EXPECT_EQ(cfg.fault.ioAt, "store.write");
 }
 
@@ -418,7 +414,7 @@ TEST_F(ObsRunConfigTest, MalformedStoreSafetyKnobsAreFatal)
     ::unsetenv("BDS_SERVE_MAX_QUEUE");
 
     RunConfig cfg;
-    EXPECT_THROW(cfg.applyArgs({"--ckpt-max-bytes", "big"}),
+    EXPECT_THROW(cfg.applyArgs({"--store-max-bytes", "big"}),
                  FatalError);
 }
 
@@ -434,12 +430,9 @@ TEST_F(ObsRunConfigTest, DescribeMentionsStoreBudgetsOnlyWhenSet)
 
     cfg.serve.maxQueue = 4;
     cfg.serve.maxStoreBytes = 4096;
-    cfg.ckpt.enabled = true;
-    cfg.ckpt.maxBytes = 512;
     d = cfg.describe();
     EXPECT_NE(d.find("max-queue=4"), std::string::npos) << d;
     EXPECT_NE(d.find("max-bytes=4096"), std::string::npos) << d;
-    EXPECT_NE(d.find("max-bytes=512"), std::string::npos) << d;
 }
 
 TEST_F(ObsRunConfigTest, MalformedServeKnobsAreFatal)
@@ -479,74 +472,6 @@ TEST_F(ObsRunConfigTest, DescribeMentionsTheServeBlock)
     EXPECT_NE(d.find("socket=/tmp/s.sock"), std::string::npos) << d;
     EXPECT_NE(d.find("max-inflight=2"), std::string::npos) << d;
     EXPECT_NE(d.find("bypass"), std::string::npos) << d;
-}
-
-TEST_F(ObsRunConfigTest, CheckpointKnobsDefaultOff)
-{
-    RunConfig cfg = RunConfig::resolve("t");
-    EXPECT_FALSE(cfg.ckpt.enabled);
-    EXPECT_EQ(cfg.ckpt.dir, "bds_ckpt_cache");
-    EXPECT_EQ(cfg.describe().find("ckpt("), std::string::npos);
-}
-
-TEST_F(ObsRunConfigTest, EnvironmentOverlaysTheCheckpointKnobs)
-{
-    ::setenv("BDS_CKPT", "1", 1);
-    RunConfig on = RunConfig::resolve("t");
-    EXPECT_TRUE(on.ckpt.enabled);
-    EXPECT_EQ(on.ckpt.dir, "bds_ckpt_cache");
-    ::unsetenv("BDS_CKPT");
-
-    // A directory implies enabling, like BDS_TRACE_FILE for tracing.
-    ::setenv("BDS_CKPT_DIR", "snapdir", 1);
-    RunConfig dir = RunConfig::resolve("t");
-    EXPECT_TRUE(dir.ckpt.enabled);
-    EXPECT_EQ(dir.ckpt.dir, "snapdir");
-
-    // BDS_CKPT=0 wins over the implied enable.
-    ::setenv("BDS_CKPT", "0", 1);
-    RunConfig off = RunConfig::resolve("t");
-    EXPECT_FALSE(off.ckpt.enabled);
-    EXPECT_EQ(off.ckpt.dir, "snapdir");
-}
-
-TEST_F(ObsRunConfigTest, CheckpointFlagsWinOverTheEnvironment)
-{
-    ::setenv("BDS_CKPT_DIR", "envdir", 1);
-    RunConfig cfg;
-    cfg.tool = "t";
-    cfg.applyEnv();
-    std::vector<std::string> rest =
-        cfg.applyArgs({"--ckpt-dir", "flagdir"});
-    EXPECT_TRUE(rest.empty());
-    EXPECT_TRUE(cfg.ckpt.enabled);
-    EXPECT_EQ(cfg.ckpt.dir, "flagdir");
-
-    // --no-ckpt disables even an env-enabled cache; --ckpt re-arms.
-    RunConfig off;
-    off.applyEnv();
-    off.applyArgs({"--no-ckpt"});
-    EXPECT_FALSE(off.ckpt.enabled);
-    off.applyArgs({"--ckpt"});
-    EXPECT_TRUE(off.ckpt.enabled);
-
-    std::string d = cfg.describe();
-    EXPECT_NE(d.find("ckpt(dir=flagdir)"), std::string::npos) << d;
-}
-
-TEST_F(ObsRunConfigTest, MalformedCheckpointKnobsAreFatal)
-{
-    ::setenv("BDS_CKPT", "yes", 1);
-    EXPECT_THROW(RunConfig::resolve("t"), FatalError);
-    ::unsetenv("BDS_CKPT");
-
-    ::setenv("BDS_CKPT_DIR", "", 1);
-    EXPECT_THROW(RunConfig::resolve("t"), FatalError);
-    ::unsetenv("BDS_CKPT_DIR");
-
-    RunConfig cfg;
-    EXPECT_THROW(cfg.applyArgs({"--ckpt-dir="}), FatalError);
-    EXPECT_THROW(cfg.applyArgs({"--ckpt-dir"}), FatalError);
 }
 
 TEST_F(ObsRunConfigTest, DescribeMentionsRecoveryAndInjection)
