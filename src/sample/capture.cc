@@ -26,6 +26,33 @@ pickerSeed(const SamplingOptions &opts, const WorkloadId &id,
         + 7919ULL * static_cast<std::uint64_t>(node);
 }
 
+/**
+ * Feeds a stack engine's ops straight into the interval profiler.
+ * DMA carries no interval features, so it is dropped here; replay
+ * applies it to the node.
+ */
+class ProfilingTarget : public ExecTarget
+{
+  public:
+    ProfilingTarget(IntervalProfiler &profiler, unsigned num_cores)
+        : profiler_(profiler), cores_(num_cores)
+    {
+    }
+
+    void consume(unsigned core, const MicroOp &op) override
+    {
+        profiler_.consume(core, op);
+    }
+
+    unsigned numCores() const override { return cores_; }
+
+    void dmaFill(std::uint64_t, std::uint64_t) override {}
+
+  private:
+    IntervalProfiler &profiler_;
+    unsigned cores_;
+};
+
 } // namespace
 
 WorkloadCapture
@@ -44,27 +71,22 @@ captureWorkload(const WorkloadRunner &runner,
     cap.id = id;
     cap.node = node;
     cap.numCores = runner.config().numCores;
+    cap.runner = runner;
+    // Attempt 0 runs over the plain node seed (bitwise equal to the
+    // pre-recovery path); retries run over the same attempt-salted
+    // seed the full path would use. Replay reuses this seed.
+    const AttemptContext *ctx = currentAttempt();
+    cap.dataSeed =
+        runner.attemptDataSeed(id, node, ctx ? ctx->attempt : 0);
 
-    // 1. Record: drive the stack engine into a recording-only target
-    //    — the op stream of a detailed run at profiling cost.
-    RecordingTarget target(cap.numCores);
-    {
-        TraceSpan stage("sample.record");
-        // Attempt 0 records over the plain node seed (bitwise equal
-        // to the pre-recovery path); retries record over the same
-        // attempt-salted seed the full path would use.
-        const AttemptContext *ctx = currentAttempt();
-        runner.execute(id, target,
-                       runner.attemptDataSeed(
-                           id, node, ctx ? ctx->attempt : 0));
-    }
-    cap.trace = target.trace();
-
-    // 2. Profile: split into intervals with BBV/mix features.
+    // 1-2. Generate + profile: drive the stack engine straight into
+    //      the profiler, splitting the stream into intervals with
+    //      BBV/mix features at no microarchitectural cost.
     IntervalProfiler profiler(opts.intervalUops, opts.bbvDims);
     {
         TraceSpan stage("sample.profile");
-        cap.trace.replay(profiler);
+        ProfilingTarget target(profiler, cap.numCores);
+        runner.execute(id, target, cap.dataSeed);
         profiler.finish();
     }
     cap.numIntervals = profiler.numIntervals();
@@ -84,20 +106,24 @@ SampledWorkloadResult
 replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
               const SamplingOptions &opts)
 {
-    // A trace records the stack engines' work sharding across cores;
-    // replaying it on a machine with a different core count would
-    // attribute ops to cores that machine does not have (or leave
-    // cores idle that its scheduler would have used). Geometry may
-    // vary freely; the core count may not.
+    if (!cap.runner)
+        BDS_RAISE(ErrorCode::InvalidConfig,
+                  "cannot replay an empty workload capture");
+    // The stream bakes in the stack engines' work sharding across
+    // cores; replaying it on a machine with a different core count
+    // would attribute ops to cores that machine does not have (or
+    // leave cores idle that its scheduler would have used). Geometry
+    // may vary freely; the core count may not.
     if (machine.numCores != cap.numCores)
         BDS_RAISE(ErrorCode::InvalidConfig,
-                  "capture of " << cap.id.name() << " was recorded on "
+                  "capture of " << cap.id.name() << " ran on "
                       << cap.numCores
                       << " cores and cannot replay on "
                       << machine.numCores
                       << " (re-capture for this machine)");
 
-    // 4. Replay: functional warming + detailed representatives.
+    // 4. Replay: re-execute the engine into functional warming +
+    //    detailed representatives.
     SystemModel sys(machine);
     SampledReplayer replayer(sys, opts.intervalUops,
                              opts.warmupIntervals);
@@ -105,7 +131,11 @@ replayCapture(const WorkloadCapture &cap, const NodeConfig &machine,
     std::vector<PmcCounters> snaps;
     {
         TraceSpan stage("sample.replay");
-        snaps = replayer.replay(cap.trace, cap.picked, &stats);
+        snaps = replayer.replay(
+            [&](ExecTarget &target) {
+                cap.runner->execute(cap.id, target, cap.dataSeed);
+            },
+            cap.picked, &stats);
     }
     Tracer::global().counter("sample.total_ops", stats.totalOps);
     Tracer::global().counter("sample.detail_ops", stats.detailOps);

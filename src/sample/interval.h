@@ -3,12 +3,13 @@
  * Interval profiling: the paper's feature-extraction step applied
  * recursively to execution intervals.
  *
- * An IntervalProfiler consumes a micro-op stream (live, or a
- * TraceRecorder replay) and splits it into fixed-size intervals,
- * collecting per interval the cheap structural features SimPoint-style
- * sampling clusters on: a hashed branch-target basic-block vector plus
- * the op-class and privilege-mode mixes. No microarchitectural state
- * is simulated, so a profiling pass costs a small constant per op.
+ * An IntervalProfiler consumes a micro-op stream (live from a stack
+ * engine, or a TraceRecorder replay) and splits it into fixed-size
+ * intervals, collecting per interval the cheap structural features
+ * SimPoint-style sampling clusters on: a hashed branch-target
+ * basic-block vector plus the op-class and privilege-mode mixes. No
+ * microarchitectural state is simulated, so a profiling pass costs a
+ * small constant per op.
  */
 
 #ifndef BDS_SAMPLE_INTERVAL_H
@@ -35,8 +36,9 @@ struct IntervalRecord
  * Recording-only execution target: implements the ExecTarget seam so
  * a stack engine can drive it exactly like a SystemModel, but every
  * op and DMA event lands in a TraceRecorder instead of a detailed
- * simulation. This is what makes the sampled path cheap: op
- * generation without microarchitectural cost.
+ * simulation: op generation without microarchitectural cost, kept
+ * for saving or re-feeding a stream. The sampled path itself keeps
+ * no trace; it re-runs the engine (sample/capture.h).
  */
 class RecordingTarget : public ExecTarget
 {

@@ -17,11 +17,11 @@ enum class IntervalMode : std::uint8_t
 };
 
 /**
- * Routes a replayed stream through the system according to the
- * per-interval plan, toggling the freeze mode and snapshotting
- * counters at interval boundaries.
+ * Routes a stream through the system according to the per-interval
+ * plan, toggling the freeze mode and snapshotting counters at
+ * interval boundaries.
  */
-class PlanSink : public OpSink
+class PlanSink : public ExecTarget
 {
   public:
     PlanSink(SystemModel &sys, std::uint64_t interval_uops,
@@ -60,8 +60,10 @@ class PlanSink : public OpSink
         sys_.consume(core, op);
     }
 
+    unsigned numCores() const override { return sys_.numCores(); }
+
     /** DMA events always reach the node, whatever the mode. */
-    void dma(std::uint64_t addr, std::uint64_t bytes)
+    void dmaFill(std::uint64_t addr, std::uint64_t bytes) override
     {
         sys_.dmaFill(addr, bytes);
     }
@@ -120,7 +122,7 @@ SampledReplayer::SampledReplayer(SystemModel &sys,
 }
 
 std::vector<PmcCounters>
-SampledReplayer::replay(const TraceRecorder &trace,
+SampledReplayer::replay(const Driver &drive,
                         const PickResult &picked,
                         SampledReplayStats *stats)
 {
@@ -154,9 +156,7 @@ SampledReplayer::replay(const TraceRecorder &trace,
     std::vector<PmcCounters> snaps(picked.reps.size());
     SampledReplayStats local;
     PlanSink sink(sys_, intervalUops_, plan, rep_of, snaps, local);
-    trace.replay(sink, [&](std::uint64_t addr, std::uint64_t bytes) {
-        sink.dma(addr, bytes);
-    });
+    drive(sink);
     sink.finish();
 
     if (stats)

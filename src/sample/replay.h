@@ -2,23 +2,29 @@
  * @file
  * Warmup-aware sampled replay.
  *
- * A SampledReplayer drives a recorded op stream into a SystemModel,
+ * A SampledReplayer routes an op stream into a SystemModel,
  * simulating only the chosen representative intervals with live
- * counters. Everything else is either functionally warmed — replayed
- * in the SystemModel's counter-freeze mode, so caches, TLBs, the
- * branch predictor and coherence advance while PmcCounters stand
- * still — or fast-forwarded entirely when outside the warmup window
- * (DMA events always apply, keeping the memory image in sync).
+ * counters. Everything else is either functionally warmed — run in
+ * the SystemModel's counter-freeze mode, so caches, TLBs, the branch
+ * predictor and coherence advance while PmcCounters stand still — or
+ * fast-forwarded entirely when outside the warmup window (DMA events
+ * always apply, keeping the memory image in sync).
+ *
+ * The stream comes from a driver callback into an ExecTarget: the
+ * sampled path re-executes the stack engine into it (the stream is a
+ * deterministic function of workload, data seed and core count), and
+ * a saved TraceRecorder replays into it just as well.
  */
 
 #ifndef BDS_SAMPLE_REPLAY_H
 #define BDS_SAMPLE_REPLAY_H
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sample/picker.h"
-#include "trace/recorder.h"
+#include "trace/microop.h"
 #include "uarch/pmc.h"
 #include "uarch/system.h"
 
@@ -27,13 +33,13 @@ namespace bds {
 /** Op accounting of one sampled replay. */
 struct SampledReplayStats
 {
-    std::uint64_t totalOps = 0;   ///< ops in the trace
+    std::uint64_t totalOps = 0;   ///< ops in the stream
     std::uint64_t detailOps = 0;  ///< simulated with live counters
     std::uint64_t warmOps = 0;    ///< replayed counter-frozen
     std::uint64_t skippedOps = 0; ///< fast-forwarded entirely
 };
 
-/** Replays a trace, detailing only the representative intervals. */
+/** Replays a stream, detailing only the representative intervals. */
 class SampledReplayer
 {
   public:
@@ -46,15 +52,20 @@ class SampledReplayer
     SampledReplayer(SystemModel &sys, std::uint64_t interval_uops,
                     unsigned warmup_intervals);
 
+    /** Produces the op stream: drives every op and DMA into a target. */
+    using Driver = std::function<void(ExecTarget &)>;
+
     /**
-     * Replay the trace and capture per-representative counters.
-     * @param trace The recorded stream (profiler's interval origin).
+     * Replay the stream and capture per-representative counters.
+     * @param drive Feeds the stream the profiler saw (its interval
+     *        origin) into the target it is given, e.g. a
+     *        WorkloadRunner::execute call or a TraceRecorder replay.
      * @param picked Representatives to simulate in detail.
      * @param stats Optional op-accounting sink.
      * @return One aggregated PmcCounters per representative, in
      *         picked.reps order.
      */
-    std::vector<PmcCounters> replay(const TraceRecorder &trace,
+    std::vector<PmcCounters> replay(const Driver &drive,
                                     const PickResult &picked,
                                     SampledReplayStats *stats = nullptr);
 

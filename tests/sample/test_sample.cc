@@ -5,7 +5,9 @@
  * reconstruction.
  */
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +59,17 @@ makeTrace(int iterations)
             ctx.store(buf + (i * 128) % (1 << 20));
     }
     return rec;
+}
+
+/** Replays a recorded trace, DMA included, into the replay target. */
+SampledReplayer::Driver
+driveFrom(const TraceRecorder &rec)
+{
+    return [&rec](bds::ExecTarget &t) {
+        rec.replay(t, [&t](std::uint64_t addr, std::uint64_t bytes) {
+            t.dmaFill(addr, bytes);
+        });
+    };
 }
 
 TEST(IntervalProfiler, SplitsAtExactBoundaries)
@@ -347,7 +360,7 @@ TEST(SampledReplayer, AccountsEveryOpExactlyOnce)
     SampledReplayer replayer(sys, 100, opts.warmupIntervals);
     SampledReplayStats stats;
     std::vector<PmcCounters> snaps =
-        replayer.replay(rec, picked, &stats);
+        replayer.replay(driveFrom(rec), picked, &stats);
 
     EXPECT_EQ(snaps.size(), picked.reps.size());
     EXPECT_EQ(stats.totalOps, rec.size());
@@ -379,7 +392,7 @@ TEST(SampledReplayer, WarmupWindowSkipsDistantIntervals)
     bds::SystemModel sys(cfg);
     SampledReplayer replayer(sys, 100, /*warmup_intervals=*/1);
     SampledReplayStats stats;
-    replayer.replay(rec, picked, &stats);
+    replayer.replay(driveFrom(rec), picked, &stats);
     // With a 1-interval window and few representatives, some
     // intervals must be fast-forwarded.
     EXPECT_GT(stats.skippedOps, 0u);
@@ -490,6 +503,81 @@ TEST(WorkloadCapture, CoreCountMismatchIsATypedError)
     } catch (const bds::Error &e) {
         EXPECT_EQ(e.code(), bds::ErrorCode::InvalidConfig);
     }
+}
+
+TEST(WorkloadCapture, EmptyCaptureIsATypedError)
+{
+    // A default-constructed capture has no runner to re-execute.
+    SamplingOptions opts;
+    opts.enabled = true;
+    const bds::WorkloadCapture empty;
+    try {
+        bds::replayCapture(empty, bds::NodeConfig::defaultSim(), opts);
+        FAIL() << "expected Error(InvalidConfig)";
+    } catch (const bds::Error &e) {
+        EXPECT_EQ(e.code(), bds::ErrorCode::InvalidConfig);
+    }
+}
+
+/**
+ * Replay re-executes the stack engine instead of keeping a trace,
+ * which is only sound if the engine's op stream does not depend on
+ * the target it drives: re-running it into the replayer must be
+ * bitwise the same as replaying a recording of it.
+ */
+void
+expectReexecutionMatchesRecordedTrace(const bds::WorkloadId &id)
+{
+    bds::WorkloadRunner runner(bds::NodeConfig::defaultSim(),
+                               bds::ScaleProfile::quick(), 42);
+    SamplingOptions opts;
+    opts.enabled = true;
+    const bds::WorkloadCapture cap =
+        bds::captureWorkload(runner, opts, id, 0);
+    bds::SampledWorkloadResult live =
+        bds::replayCapture(cap, runner.config(), opts);
+
+    RecordingTarget target(runner.config().numCores);
+    runner.execute(id, target, runner.nodeDataSeed(id, 0));
+    const TraceRecorder &rec = target.trace();
+    bds::SystemModel sys(runner.config());
+    SampledReplayer replayer(sys, opts.intervalUops,
+                             opts.warmupIntervals);
+    SampledReplayStats stats;
+    bds::SampleEstimate traced = bds::estimateMetrics(
+        replayer.replay(driveFrom(rec), cap.picked, &stats),
+        cap.picked);
+
+    // The trace holds the ops plus the DMA fills the engine issued,
+    // so the comparison covers DMA ordering too.
+    EXPECT_GT(rec.size(), stats.totalOps);
+    EXPECT_EQ(live.stats.totalOps, stats.totalOps);
+    EXPECT_EQ(live.stats.detailOps, stats.detailOps);
+    EXPECT_EQ(live.stats.warmOps, stats.warmOps);
+    std::array<double, PmcCounters::kNumFields> a =
+        live.counters.toArray();
+    std::array<double, PmcCounters::kNumFields> b =
+        traced.counters.toArray();
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(std::memcmp(&a[i], &b[i], sizeof(double)), 0)
+            << "counter field " << i;
+    for (std::size_t i = 0; i < bds::kNumMetrics; ++i)
+        EXPECT_EQ(std::memcmp(&live.metrics[i], &traced.metrics[i],
+                              sizeof(double)),
+                  0)
+            << "metric " << i;
+}
+
+TEST(WorkloadCapture, HadoopStreamDoesNotDependOnItsTarget)
+{
+    expectReexecutionMatchesRecordedTrace(
+        bds::WorkloadId{bds::Algorithm::Sort, bds::StackKind::Hadoop});
+}
+
+TEST(WorkloadCapture, SparkStreamDoesNotDependOnItsTarget)
+{
+    expectReexecutionMatchesRecordedTrace(bds::WorkloadId{
+        bds::Algorithm::WordCount, bds::StackKind::Spark});
 }
 
 } // namespace
