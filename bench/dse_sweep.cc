@@ -6,11 +6,13 @@
  * tech-report sequel (arXiv:1506.07943), ROADMAP item 4.
  *
  * Default mode is the sampled path: each workload is captured once
- * per distinct core count (record + profile + pick, machine-
- * independent) and the one capture is replayed against every preset
- * geometry — the trace-driven methodology that makes a 14-preset
- * sweep cost little more than one characterization. --dse-full runs
- * full detailed simulation per cell instead.
+ * per distinct core count (profile + pick, machine-independent) and
+ * the one capture is replayed against every preset geometry by
+ * re-running the deterministic stack engine into that geometry's
+ * node, so a 14-preset sweep costs little more than one
+ * characterization. --dse-full runs full detailed simulation per
+ * cell instead; it is the way to measure a capacity curve such as
+ * the L3 one over the l3-4m/l3-8m/l3-24m presets (docs/DSE.md).
  *
  * Per preset the driver reports the 45 suite-mean metrics, their
  * relative deltas against the `default` geometry (the sensitivity
@@ -29,7 +31,8 @@
  * The sweep runs under the fault layer: each workload's capture +
  * replays execute inside guardedRun with the session's recovery
  * policy, so an injected fault quarantines one workload row across
- * every preset instead of killing the sweep.
+ * every preset instead of killing the sweep. settleSweep applies the
+ * policy and the session records the report, as in every sweep.
  */
 
 #include <algorithm>
@@ -239,7 +242,11 @@ runDse(int argc, char **argv)
 
     std::vector<std::vector<Cell>> cells(
         presets.size(), std::vector<Cell>(selected.size()));
-    std::vector<RunRecord> records(selected.size());
+    // With every preset answered from its cache nothing ran, so there
+    // is nothing to settle and every selected workload survives.
+    SweepReport report;
+    for (std::size_t i = 0; i < selected.size(); ++i)
+        report.survivors.push_back(i);
     if (!groups.empty()) {
         // One runner per core-count group; the capture only reads the
         // geometry's core count, so the group leader's config serves
@@ -253,6 +260,7 @@ runDse(int argc, char **argv)
         }
 
         auto t0 = std::chrono::steady_clock::now();
+        std::vector<RunRecord> records(selected.size());
         parallelFor(selected.size(), cfg.parallel, [&](std::size_t i) {
             const WorkloadId id = selected[i];
             records[i] = guardedRun(
@@ -307,24 +315,13 @@ runDse(int argc, char **argv)
         std::cerr << "[dse] swept "
                   << groups.size() << " core-count group(s) in "
                   << sweep_seconds << " s\n";
-    }
 
-    // --- settle failures in workload order (runAll's contract) ------
-    std::vector<std::size_t> survivors;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-        if (groups.empty() || runStatusOk(records[i].status)) {
-            survivors.push_back(i);
-            continue;
-        }
-        if (cfg.fault.recovery.policy == FailPolicy::FailFast)
-            BDS_RAISE(records[i].code,
-                      "workload " << selected[i].name()
-                      << " failed in the DSE sweep: "
-                      << records[i].message);
-        records[i].status = RunStatus::Quarantined;
-        std::cerr << "[dse] quarantined " << selected[i].name()
-                  << " (" << records[i].message << ")\n";
+        // Settle failures in workload order, as every sweep does.
+        report = settleSweep(std::move(records),
+                             cfg.fault.recovery.policy);
+        session.recordSweep(report);
     }
+    const std::vector<std::size_t> &survivors = report.survivors;
     if (names.empty())
         for (std::size_t i : survivors)
             names.push_back(selected[i].name());
@@ -516,8 +513,8 @@ runDse(int argc, char **argv)
                 os << (first ? "\n        " : ",\n        ")
                    << "{\"name\": " << q(selected[i].name())
                    << ", \"status\": "
-                   << q(runStatusName(records[i].status))
-                   << ", \"attempts\": " << records[i].attempts
+                   << q(runStatusName(report.records[i].status))
+                   << ", \"attempts\": " << report.records[i].attempts
                    << ", \"seconds\": " << cell.seconds
                    << ", \"total_ops\": " << cell.stats.totalOps
                    << ", \"detail_ops\": " << cell.stats.detailOps

@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "trace/recorder.h"
+#include "sample/interval.h"
 #include "uarch/machine.h"
 #include "uarch/reference.h"
 #include "uarch/system.h"
@@ -281,24 +281,10 @@ benchEndToEnd(bool quick)
             {bds::Algorithm::JoinQuery, bds::StackKind::Hadoop});
     }
 
-    bds::TraceRecorder rec;
-    struct RecTarget : bds::ExecTarget {
-        bds::TraceRecorder &r;
-        unsigned cores;
-        RecTarget(bds::TraceRecorder &rr, unsigned c)
-            : r(rr), cores(c) {}
-        void consume(unsigned c, const bds::MicroOp &op) override
-        {
-            r.consume(c, op);
-        }
-        void dmaFill(std::uint64_t a, std::uint64_t n) override
-        {
-            r.recordDma(a, n);
-        }
-        unsigned numCores() const override { return cores; }
-    } target(rec, machine.numCores);
+    bds::RecordingTarget target(machine.numCores);
     for (const auto &id : picks)
         runner.execute(id, target, runner.nodeDataSeed(id, 0));
+    const bds::TraceRecorder &rec = target.trace();
 
     EndToEnd e;
     e.traceOps = rec.size();

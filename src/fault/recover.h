@@ -1,7 +1,8 @@
 /**
  * @file
  * guardedRun(): the shared failure-isolation driver of the sweep
- * layers (WorkloadRunner::runAll, SampledCharacterizer::runAll).
+ * layers (WorkloadRunner::runAll, SampledCharacterizer::runAll and
+ * the dse_sweep bench).
  *
  * One call runs one workload's attempt loop: execute the body under
  * an installed AttemptScope (watchdog deadline + attempt index),
@@ -10,8 +11,9 @@
  * seeds from it, keeping retries bitwise-reproducible), and return a
  * RunRecord describing the final disposition. guardedRun never
  * throws; policy — rethrow under fail-fast, drop under quarantine —
- * is applied by the sweep after all slots settle, in workload order,
- * so the outcome is deterministic for every thread count.
+ * is applied by settleSweep (workloads/registry.h) after all slots
+ * finish, in workload order, so the outcome is deterministic for
+ * every thread count.
  */
 
 #ifndef BDS_FAULT_RECOVER_H

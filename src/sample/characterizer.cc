@@ -81,8 +81,8 @@ SampledCharacterizer::runAll(
     // One pool task per workload into a preallocated slot; each task
     // derives every seed from the workload identity, so the matrix is
     // bitwise identical for every thread count. guardedRun isolates
-    // failures per slot; policy is settled after the loop, in
-    // allWorkloads() order, exactly as in WorkloadRunner::runAll.
+    // failures per slot; settleSweep applies the policy after the
+    // loop, exactly as in WorkloadRunner::runAll.
     const RecoveryOptions &rec = runner_.recovery();
     unsigned threads = runner_.parallel().resolvedFor(ids.size());
     std::vector<SampledWorkloadResult> slots(ids.size());
@@ -95,21 +95,7 @@ SampledCharacterizer::runAll(
             });
     });
 
-    SweepReport rep;
-    rep.policy = rec.policy;
-    rep.records = std::move(records);
-    if (rec.policy == FailPolicy::FailFast) {
-        for (const RunRecord &r : rep.records)
-            if (!runStatusOk(r.status))
-                throw Error(r.code, r.message);
-    } else {
-        for (RunRecord &r : rep.records)
-            if (!runStatusOk(r.status))
-                r.status = RunStatus::Quarantined;
-    }
-    for (std::size_t i = 0; i < rep.records.size(); ++i)
-        if (runStatusOk(rep.records[i].status))
-            rep.survivors.push_back(i);
+    SweepReport rep = settleSweep(std::move(records), rec.policy);
 
     Matrix m(rep.survivors.size(), kNumMetrics);
     for (std::size_t row = 0; row < rep.survivors.size(); ++row)

@@ -57,9 +57,10 @@ class SampledCharacterizer
     /**
      * Sample all 32 workloads under the runner's recovery policy
      * (WorkloadRunner::setRecovery), mirroring the full path's
-     * failure isolation: every workload is attempted, failures are
-     * settled after the sweep in allWorkloads() order (fail-fast
-     * rethrow of the lowest-index failure, or quarantine row drop).
+     * failure isolation: every workload is attempted, and
+     * settleSweep settles the failures after the sweep, counters
+     * included (fail-fast rethrow of the lowest-index failure, or
+     * quarantine row drop).
      * @param details Optional per-workload result sink, rows
      *        parallel to the returned matrix.
      * @param report Optional sink for the per-workload RunRecords

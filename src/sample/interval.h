@@ -37,8 +37,9 @@ struct IntervalRecord
  * a stack engine can drive it exactly like a SystemModel, but every
  * op and DMA event lands in a TraceRecorder instead of a detailed
  * simulation: op generation without microarchitectural cost, kept
- * for saving or re-feeding a stream. The sampled path itself keeps
- * no trace; it re-runs the engine (sample/capture.h).
+ * for saving or re-feeding a stream. It is the way to record an
+ * engine run (trace/recorder.h). The sampled path itself keeps no
+ * trace; it re-runs the engine (sample/capture.h).
  */
 class RecordingTarget : public ExecTarget
 {

@@ -13,7 +13,7 @@
  * The stream comes from a driver callback into an ExecTarget: the
  * sampled path re-executes the stack engine into it (the stream is a
  * deterministic function of workload, data seed and core count), and
- * a saved TraceRecorder replays into it just as well.
+ * a recorded TraceRecorder replays into it just as well.
  */
 
 #ifndef BDS_SAMPLE_REPLAY_H

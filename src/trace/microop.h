@@ -86,9 +86,11 @@ class OpSink
  * (for task scheduling) and device DMA (for the I/O path).
  *
  * The uarch SystemModel is the detailed implementation. The sampling
- * subsystem (src/sample) provides a recording-only implementation,
- * so a profiling pass can generate the op stream of a workload
- * without paying for detailed simulation.
+ * subsystem (src/sample) provides the cheap ones: a profiling target
+ * and the replayer's plan sink, so a pass can generate the op stream
+ * of a workload without paying for detailed simulation, and
+ * RecordingTarget, the one way an engine run is kept as a
+ * TraceRecorder.
  */
 class ExecTarget : public OpSink
 {

@@ -1,6 +1,5 @@
 #include "trace/recorder.h"
 
-#include <istream>
 #include <ostream>
 
 #include "common/log.h"
@@ -85,71 +84,6 @@ TraceRecorder::save(std::ostream &os) const
     }
     if (!os)
         BDS_FATAL("trace write failed");
-}
-
-TraceRecorder
-TraceRecorder::load(std::istream &is)
-{
-    char magic[8];
-    is.read(magic, 8);
-    if (!is || std::string(magic, 8) != std::string(kMagic, 8))
-        BDS_FATAL("not a bds trace file");
-    std::uint32_t version = 0;
-    is.read(reinterpret_cast<char *>(&version), sizeof(version));
-    if (version != kVersion)
-        BDS_FATAL("unsupported trace version " << version);
-    std::uint64_t count = 0;
-    is.read(reinterpret_cast<char *>(&count), sizeof(count));
-    if (!is)
-        BDS_FATAL("truncated trace header");
-
-    // Entries are 20 bytes on disk. A seekable stream lets us check
-    // the payload against the header count up front, before trusting
-    // `count` for the reserve — a bogus header must not OOM us, and
-    // both truncation and trailing garbage are rejected.
-    constexpr std::uint64_t kEntryBytes = 20;
-    std::istream::pos_type body = is.tellg();
-    if (body != std::istream::pos_type(-1)) {
-        is.seekg(0, std::ios::end);
-        std::uint64_t remaining =
-            static_cast<std::uint64_t>(is.tellg() - body);
-        is.seekg(body);
-        if (count > remaining / kEntryBytes)
-            BDS_FATAL("truncated trace: header promises " << count
-                      << " entries but only " << remaining
-                      << " payload bytes remain");
-        if (remaining != count * kEntryBytes)
-            BDS_FATAL("oversized trace: "
-                      << remaining - count * kEntryBytes
-                      << " trailing bytes after " << count
-                      << " entries");
-    }
-
-    TraceRecorder rec;
-    rec.entries_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Entry e;
-        is.read(reinterpret_cast<char *>(&e.ip), sizeof(e.ip));
-        is.read(reinterpret_cast<char *>(&e.addr), sizeof(e.addr));
-        int core = is.get(), cls = is.get(), mode = is.get(),
-            flags = is.get();
-        if (!is || core < 0)
-            BDS_FATAL("truncated trace at entry " << i);
-        e.core = static_cast<std::uint8_t>(core);
-        e.cls = static_cast<std::uint8_t>(cls);
-        e.mode = static_cast<std::uint8_t>(mode);
-        e.flags = static_cast<std::uint8_t>(flags);
-        if (e.cls > static_cast<std::uint8_t>(OpClass::SseAlu)
-            || e.mode > static_cast<std::uint8_t>(Mode::Kernel)
-            || e.flags > 15)
-            BDS_FATAL("corrupt trace entry " << i);
-        rec.entries_.push_back(e);
-    }
-    // Non-seekable streams reach here without the up-front size
-    // check; trailing bytes mean the writer and header disagree.
-    if (is.peek() != std::char_traits<char>::eof())
-        BDS_FATAL("oversized trace: data past the last entry");
-    return rec;
 }
 
 } // namespace bds

@@ -4,12 +4,18 @@
  *
  * The paper's deliverable is a "simulator version" of the selected
  * workloads: capture once, then drive architecture studies from the
- * trace. TraceRecorder captures a micro-op stream (optionally teeing
- * it into a live SystemModel) and replays it into any OpSink — e.g.,
- * fresh SystemModels with different cache geometries. Replay into an
- * identically configured model reproduces the original counters
- * exactly, because the whole simulator is a deterministic function
- * of the op stream.
+ * trace. TraceRecorder captures a micro-op stream and replays it into
+ * any OpSink — e.g., fresh SystemModels with different cache
+ * geometries. Replay into an identically configured model reproduces
+ * the original counters exactly, because the whole simulator is a
+ * deterministic function of the op stream.
+ *
+ * There are two ways to record. A stack engine drives a
+ * RecordingTarget (sample/interval.h), the ExecTarget that keeps
+ * every op and DMA fill. Or a TraceRecorder tees in front of a live
+ * sink, and the caller mirrors each DMA fill with recordDma(). save()
+ * writes the stream out; there is no loader, since the same stream
+ * is cheaper to regenerate by re-running the deterministic engine.
  */
 
 #ifndef BDS_TRACE_RECORDER_H
@@ -30,7 +36,8 @@ class TraceRecorder : public OpSink
   public:
     /**
      * @param tee Optional downstream sink every op is forwarded to
-     *        (typically the live SystemModel).
+     *        (typically the live SystemModel). It sees ops only: the
+     *        caller records each of its DMA fills with recordDma().
      */
     explicit TraceRecorder(OpSink *tee = nullptr) : tee_(tee) {}
 
@@ -46,9 +53,6 @@ class TraceRecorder : public OpSink
     /** Number of recorded events (micro-ops + DMA fills). */
     std::size_t size() const { return entries_.size(); }
 
-    /** Drop all recorded ops. */
-    void clear() { entries_.clear(); }
-
     /**
      * Replay the recorded stream into a sink.
      * @param sink Consumer for the micro-ops.
@@ -61,14 +65,12 @@ class TraceRecorder : public OpSink
                     &dma = {}) const;
 
     /**
-     * Serialize to a binary stream (native endianness; the format is
-     * a private interchange format for this library, not an archive
-     * format).
+     * Serialize to a binary stream: a 20-byte header ("BDSTRACE",
+     * a u32 version, a u64 event count) then 20 bytes per event, in
+     * native endianness. It is a size and inspection format, not an
+     * archive format.
      */
     void save(std::ostream &os) const;
-
-    /** Deserialize a trace written by save(); fatal on corruption. */
-    static TraceRecorder load(std::istream &is);
 
   private:
     /** One packed trace entry. */

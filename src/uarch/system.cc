@@ -106,8 +106,6 @@ SystemModel::checkInvariants() const
 void
 SystemModel::dmaFill(std::uint64_t addr, std::uint64_t bytes)
 {
-    if (recorder_)
-        recorder_->recordDma(addr, bytes);
     std::uint64_t line_bytes = cfg_.l3.lineBytes;
     std::uint64_t first = addr / line_bytes;
     std::uint64_t last = (addr + bytes + line_bytes - 1) / line_bytes;
@@ -706,8 +704,6 @@ SystemModel::consume(unsigned core_id, const MicroOp &op)
     if (core_id >= cores_.size())
         BDS_FATAL("op for core " << core_id << " on a "
                   << cores_.size() << "-core node");
-    if (recorder_)
-        recorder_->consume(core_id, op);
     if (frozen_)
         consumeOp<true>(core_id, op);
     else

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "trace/microop.h"
-#include "trace/recorder.h"
 #include "uarch/cache.h"
 #include "uarch/config.h"
 #include "uarch/core.h"
@@ -93,15 +92,6 @@ class SystemModel : public ExecTarget
      * traffic even when their buffers are reused.
      */
     void dmaFill(std::uint64_t addr, std::uint64_t bytes) override;
-
-    /**
-     * Attach a recorder: every subsequent micro-op and DMA fill is
-     * appended to it (pass nullptr to detach). Replaying such a
-     * trace into an identically configured fresh SystemModel
-     * reproduces the counters exactly; replaying into a different
-     * geometry is the paper's trace-driven methodology.
-     */
-    void attachRecorder(TraceRecorder *rec) { recorder_ = rec; }
 
     /** Mutable core access (tests and white-box benches). */
     CoreModel &core(unsigned idx);
@@ -213,7 +203,6 @@ class SystemModel : public ExecTarget
     std::vector<CoreModel> cores_;
     SetAssocCache l3_;
     double invIssueWidth_;
-    TraceRecorder *recorder_ = nullptr;
     bool frozen_ = false; ///< counter-freeze (functional warming) mode
 };
 

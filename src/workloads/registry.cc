@@ -352,6 +352,42 @@ WorkloadRunner::runOnNode(const WorkloadId &id,
     return res;
 }
 
+SweepReport
+settleSweep(std::vector<RunRecord> records, FailPolicy policy)
+{
+    SweepReport rep;
+    rep.policy = policy;
+    rep.records = std::move(records);
+    if (policy == FailPolicy::FailFast) {
+        for (const RunRecord &r : rep.records)
+            if (!runStatusOk(r.status))
+                throw Error(r.code, r.message);
+    } else {
+        for (RunRecord &r : rep.records)
+            if (!runStatusOk(r.status))
+                r.status = RunStatus::Quarantined;
+    }
+    for (std::size_t i = 0; i < rep.records.size(); ++i)
+        if (runStatusOk(rep.records[i].status))
+            rep.survivors.push_back(i);
+
+    std::uint64_t retries = 0, retried_ok = 0, timeouts = 0;
+    for (const RunRecord &r : rep.records) {
+        retries += r.attempts - 1;
+        retried_ok += r.status == RunStatus::RetriedOk ? 1 : 0;
+        timeouts += r.code == ErrorCode::Timeout ? 1 : 0;
+    }
+    if (retries)
+        Tracer::global().counter("fault.retries", retries);
+    if (retried_ok)
+        Tracer::global().counter("fault.retried_ok", retried_ok);
+    if (timeouts)
+        Tracer::global().counter("fault.timeout", timeouts);
+    if (std::size_t dropped = rep.records.size() - rep.survivors.size())
+        Tracer::global().counter("fault.quarantined", dropped);
+    return rep;
+}
+
 Matrix
 WorkloadRunner::runAll(std::vector<WorkloadResult> *details,
                        SweepTiming *timing,
@@ -386,39 +422,7 @@ WorkloadRunner::runAll(std::vector<WorkloadResult> *details,
             });
     });
 
-    SweepReport rep;
-    rep.policy = recovery_.policy;
-    rep.records = std::move(records);
-    if (recovery_.policy == FailPolicy::FailFast) {
-        for (const RunRecord &r : rep.records)
-            if (!runStatusOk(r.status))
-                throw Error(r.code, r.message);
-    } else {
-        for (RunRecord &r : rep.records)
-            if (!runStatusOk(r.status))
-                r.status = RunStatus::Quarantined;
-    }
-    for (std::size_t i = 0; i < rep.records.size(); ++i)
-        if (runStatusOk(rep.records[i].status))
-            rep.survivors.push_back(i);
-
-    // Failure counters land in the trace only when something went
-    // wrong, keeping clean traces byte-identical. Emitted here, after
-    // the parallel loop, in deterministic order.
-    std::uint64_t retries = 0, retried_ok = 0, timeouts = 0;
-    for (const RunRecord &r : rep.records) {
-        retries += r.attempts - 1;
-        retried_ok += r.status == RunStatus::RetriedOk ? 1 : 0;
-        timeouts += r.code == ErrorCode::Timeout ? 1 : 0;
-    }
-    if (retries)
-        Tracer::global().counter("fault.retries", retries);
-    if (retried_ok)
-        Tracer::global().counter("fault.retried_ok", retried_ok);
-    if (timeouts)
-        Tracer::global().counter("fault.timeout", timeouts);
-    if (std::size_t dropped = rep.records.size() - rep.survivors.size())
-        Tracer::global().counter("fault.quarantined", dropped);
+    SweepReport rep = settleSweep(std::move(records), recovery_.policy);
 
     Matrix m(rep.survivors.size(), kNumMetrics);
     for (std::size_t row = 0; row < rep.survivors.size(); ++row)

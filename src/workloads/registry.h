@@ -103,6 +103,20 @@ struct SweepTiming
 };
 
 /**
+ * Settle a finished sweep's per-workload records under `policy`, the
+ * one way every sweep (full, sampled, DSE) does it. Records are in
+ * sweep order, so the outcome is the same at any thread count:
+ * under fail-fast the lowest-index failure is rethrown as a typed
+ * bds::Error; under quarantine every failed record is relabelled
+ * Quarantined and dropped from the survivors. When anything went
+ * wrong the fault.retries / fault.retried_ok / fault.timeout /
+ * fault.quarantined trace counters are emitted (nothing on a clean
+ * sweep, so clean traces stay byte-identical).
+ */
+SweepReport settleSweep(std::vector<RunRecord> records,
+                        FailPolicy policy);
+
+/**
  * Executes workloads on freshly constructed simulated nodes.
  *
  * Every run builds its own SystemModel and address space, so runs

@@ -4,17 +4,21 @@
  * fault injector kills some workloads under FailPolicy::Quarantine,
  * the survivors' metric rows are bitwise identical to the same rows
  * of a clean sweep — a failure never perturbs its neighbours — and
- * the contract holds at every thread count.
+ * the contract holds at every thread count. The sampled sweep
+ * settles its failures the same way, trace counters included.
  */
 
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fault/inject.h"
+#include "obs/trace.h"
+#include "sample/characterizer.h"
 #include "workloads/registry.h"
 
 namespace bds {
@@ -45,10 +49,48 @@ sweep(unsigned threads, bool inject, Matrix *matrix)
     return report;
 }
 
+/**
+ * Traced quick-scale quarantine sweep, full or sampled, with the
+ * victims armed; returns the fault.quarantined counter total.
+ */
+std::uint64_t
+tracedQuarantinedTotal(bool sampled)
+{
+    FaultOptions opts;
+    opts.throwAt = kVictims;
+    FaultInjector::global().arm(opts);
+    WorkloadRunner runner(NodeConfig::defaultSim(),
+                          ScaleProfile::quick(), 42);
+    runner.setParallel(ParallelOptions{2});
+    RecoveryOptions rec;
+    rec.policy = FailPolicy::Quarantine;
+    runner.setRecovery(rec);
+
+    std::ostringstream trace;
+    Tracer::global().enableStream(&trace);
+    if (sampled) {
+        SamplingOptions sopts;
+        sopts.enabled = true;
+        SampledCharacterizer(runner, sopts).runAll();
+    } else {
+        runner.runAll();
+    }
+    Tracer::global().disable();
+    FaultInjector::global().disarm();
+
+    const auto counters = Tracer::global().counterSummary();
+    auto it = counters.find("fault.quarantined");
+    return it == counters.end() ? 0 : it->second;
+}
+
 class QuarantineIsolation : public ::testing::Test
 {
   protected:
-    void TearDown() override { FaultInjector::global().disarm(); }
+    void TearDown() override
+    {
+        Tracer::global().disable();
+        FaultInjector::global().disarm();
+    }
 
     /** Survivor rows must equal the clean run's rows for the same
      *  workloads, bit for bit. */
@@ -139,6 +181,13 @@ TEST_F(QuarantineIsolation, RetriesHealAnAttemptGatedFault)
             EXPECT_EQ(r.attempts, 2u) << r.name;
         }
     EXPECT_EQ(retried, kNumVictims);
+}
+
+TEST_F(QuarantineIsolation, SampledSweepCountsQuarantinesLikeTheFullSweep)
+{
+    const std::uint64_t full = tracedQuarantinedTotal(false);
+    EXPECT_EQ(full, kNumVictims);
+    EXPECT_EQ(tracedQuarantinedTotal(true), full);
 }
 
 TEST_F(QuarantineIsolation, FailFastRethrowsTheLowestIndexedFailure)
