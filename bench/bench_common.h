@@ -77,11 +77,11 @@ benchMachine(const bds::RunConfig &cfg)
 }
 
 /**
- * Machine for the benches that manage their own tiny flag sets
- * instead of RunConfig (uarch_speed, micro_uarch): BDS_MACHINE still
- * wins, absent means the Table III sim default. Funneled through
- * RunConfig::applyEnv() — the one env reader — so these benches get
- * the same strict validation as everything else.
+ * Machine for a bench that manages its own tiny flag set instead of
+ * RunConfig (uarch_speed): BDS_MACHINE still wins, absent means the
+ * Table III sim default. Funneled through RunConfig::applyEnv() —
+ * the one env reader — so that bench gets the same strict validation
+ * as everything else.
  */
 inline bds::NodeConfig
 benchMachineFromEnv()

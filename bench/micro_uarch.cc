@@ -7,8 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
 #include "common/rng.h"
 #include "trace/runtime.h"
 #include "uarch/machine.h"
@@ -19,19 +17,11 @@
 namespace {
 
 /**
- * The machine the end-to-end BM_System* loops simulate. google-
- * benchmark owns argv, so the geometry comes from BDS_MACHINE alone;
- * unset means the Table III sim default, same registry as every bench.
+ * The machine the end-to-end BM_System* loops simulate: the session's
+ * BDS_MACHINE geometry (main sets it before any benchmark runs), the
+ * Table III sim default when unset, same registry as every bench.
  */
-const bds::NodeConfig &
-simMachine()
-{
-    static const bds::NodeConfig machine = [] {
-        const char *spec = std::getenv("BDS_MACHINE");
-        return bds::resolveMachineSpec(spec ? spec : "default");
-    }();
-    return machine;
-}
+bds::NodeConfig simMachine;
 
 void
 BM_CacheAccess(benchmark::State &state)
@@ -82,7 +72,7 @@ BENCHMARK(BM_BranchPredict);
 void
 BM_SystemScan(benchmark::State &state)
 {
-    bds::SystemModel sys(simMachine());
+    bds::SystemModel sys(simMachine);
     bds::AddressSpace space;
     bds::CodeImage user(space, bds::Region::UserCode);
     auto fn = user.defineFunction(256);
@@ -101,7 +91,7 @@ BENCHMARK(BM_SystemScan);
 void
 BM_SystemChase(benchmark::State &state)
 {
-    bds::SystemModel sys(simMachine());
+    bds::SystemModel sys(simMachine);
     bds::AddressSpace space;
     bds::CodeImage user(space, bds::Region::UserCode);
     auto fn = user.defineFunction(256);
@@ -119,7 +109,7 @@ BENCHMARK(BM_SystemChase);
 void
 BM_SystemMixedOps(benchmark::State &state)
 {
-    bds::SystemModel sys(simMachine());
+    bds::SystemModel sys(simMachine);
     bds::AddressSpace space;
     bds::CodeImage user(space, bds::Region::UserCode);
     std::vector<bds::FunctionDesc> fns;
@@ -146,9 +136,10 @@ int
 main(int argc, char **argv)
 {
     // google-benchmark owns the command line, so RunConfig reads the
-    // BDS_* environment only (tracing, manifest) and --benchmark_*
-    // flags pass through untouched.
+    // BDS_* environment only (machine, tracing, manifest) and
+    // --benchmark_* flags pass through untouched.
     bds::Session session(bds::RunConfig::resolve("micro_uarch"));
+    simMachine = bds::resolveMachineSpec(session.config().machineSpec);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

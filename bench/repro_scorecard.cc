@@ -15,7 +15,6 @@
 #include <iostream>
 
 #include "core/findings.h"
-#include "sample/estimate.h"
 #include "bench_common.h"
 
 namespace {
@@ -92,51 +91,6 @@ recordParallelBaseline(bds::Session &session)
               << speedup << "x) -> BENCH_parallel_runall.json\n";
 }
 
-/**
- * Quick-scale sampled-vs-full spot check: the sampled path must cut
- * detail-simulated ops by at least 5x while keeping the mean metric
- * reconstruction error modest. The dedicated sampled_vs_full bench
- * measures the full contract (including findings preservation); this
- * row keeps the headline numbers on the scorecard.
- */
-void
-checkSampledAccuracy(bds::Session &session)
-{
-    // Pinned to quick scale; machine/seed/threads still follow the
-    // session config.
-    bds::RunConfig quickCfg = session.config();
-    quickCfg.scaleName = "quick";
-    const bds::RunConfig &cfg = session.config();
-    bds::WorkloadRunner runner =
-        bds::WorkloadRunner::fromRunConfig(quickCfg);
-
-    std::cerr << "[bench] sampled-vs-full spot check at quick scale\n";
-    std::vector<bds::WorkloadResult> full;
-    runner.runAll(&full);
-    bds::SampledCharacterizer sampler(runner, cfg.sampling);
-    std::vector<bds::SampledWorkloadResult> sampled;
-    sampler.runAll(&sampled);
-
-    std::uint64_t total = 0, detail = 0;
-    double mean_err = 0.0;
-    for (std::size_t i = 0; i < full.size(); ++i) {
-        total += sampled[i].stats.totalOps;
-        detail += sampled[i].stats.detailOps;
-        mean_err += bds::compareMetrics(full[i].metrics,
-                                        sampled[i].metrics).meanError;
-    }
-    mean_err /= static_cast<double>(full.size());
-    double reduction = detail
-        ? static_cast<double>(total) / static_cast<double>(detail)
-        : 0.0;
-    bool pass = reduction >= 5.0 && mean_err <= 0.25;
-    std::cout << "\nsampled characterization: " << std::setprecision(2)
-              << std::fixed << reduction
-              << "x fewer detail ops, mean metric error "
-              << mean_err << " -> " << (pass ? "PASS" : "FAIL")
-              << "\n";
-}
-
 } // namespace
 
 int
@@ -155,6 +109,5 @@ main(int argc, char **argv)
                               : "\nsee EXPERIMENTS.md for the "
                                 "documented deviations\n");
     recordParallelBaseline(session);
-    checkSampledAccuracy(session);
     return 0;
 }

@@ -203,10 +203,11 @@ main(int argc, char **argv)
     session.noteArtifact("BENCH_sampled.json");
     std::cout << "\n-> BENCH_sampled.json\n";
 
-    // The sampling contract: at least 5x fewer detail-simulated ops
-    // and no paper finding flipping its verdict. Violations fail the
-    // bench so CI catches a drifting calibration.
-    bool pass = reduction >= 5.0 && flipped.empty();
+    // The sampling contract: at least 5x fewer detail-simulated ops,
+    // a mean metric reconstruction error of at most 0.25, and no
+    // paper finding flipping its verdict. Violations fail the bench
+    // so CI catches a drifting calibration.
+    bool pass = reduction >= 5.0 && mean_err <= 0.25 && flipped.empty();
     std::cout << (pass ? "\nsampling contract: PASS\n"
                        : "\nsampling contract: FAIL\n");
     return pass ? 0 : 1;

@@ -91,7 +91,7 @@ struct ServeOptions
     /**
      * Durable request log: every accepted request is appended as a
      * fixed-size binary record (src/serve/request.h), replayable with
-     * `bds_serve --replay` and bench/serve_replay. Empty = no log.
+     * `bds_serve --replay`. Empty = no log.
      */
     std::string logPath;
 };

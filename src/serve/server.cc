@@ -342,7 +342,6 @@ ServeServer::replayLog(const std::string &path)
             ++sum.hits;
         if (resp.ok)
             mirrorPayload(resp.payload);
-        sum.latencies.push_back(resp.seconds);
     }
     sum.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)

@@ -11,8 +11,8 @@
  *    thread per accepted client, so concurrent clients exercise the
  *    store's single-flight path.
  *  - replayLog(): feed a binary request log (serve/request.h)
- *    straight into the engine and summarize — the CI smoke and the
- *    serve_replay bench both ride on this.
+ *    straight into the engine and summarize — `bds_serve --replay`,
+ *    the one replayer of a recorded log.
  *
  * Protocol, one request per line:
  *
@@ -40,7 +40,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "serve/engine.h"
 
@@ -53,9 +52,6 @@ struct ReplaySummary
     std::uint64_t hits = 0;     ///< served from the store
     std::uint64_t errors = 0;   ///< error responses
     double seconds = 0.0;       ///< wall clock for the whole replay
-
-    /** Per-request latencies, seconds, log order. */
-    std::vector<double> latencies;
 };
 
 /** The daemon: transports around one ServeEngine. */

@@ -4,8 +4,9 @@
  * stdin/stdout: framed ok/err responses with exact byte counts, the
  * pinned content address surviving the process boundary, warm
  * restarts answering from the on-disk store, malformed requests as
- * typed err lines that never kill the daemon, and an injected fault
- * quarantined per request while the daemon keeps serving.
+ * typed err lines that never kill the daemon, a request log the
+ * daemon recorded replaying warm, and an injected fault quarantined
+ * per request while the daemon keeps serving.
  *
  * The binary path is injected by CMake as BDS_SERVE_BIN.
  */
@@ -14,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -116,6 +119,16 @@ parseFrames(const std::string &out)
     return frames;
 }
 
+/** Whole contents of a file ("" when it cannot be read). */
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
 /** Remove a known cache entry, the store index, and the directory. */
 void
 wipeCache(const std::string &dir, const std::string &hash)
@@ -135,12 +148,14 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
 {
     const std::string cache =
         ::testing::TempDir() + "bds_serve_cli_cache";
+    const std::string log = ::testing::TempDir() + "bds_serve_cli.reqlog";
     wipeCache(cache, kQuick42Hash);
 
+    // The cold session records its characterize requests as a log.
     const std::string out = capture(serveCmd(
         "ping\\ncharacterize scale=quick seed=42\\n"
         "characterize scale=quick seed=42\\nstats\\nquit\\n",
-        "", "--serve-cache " + cache));
+        "", "--serve-cache " + cache + " --serve-log " + log));
     // stdout is protocol only: no stderr chatter leaked in.
     EXPECT_EQ(out.find("bds_serve:"), std::string::npos);
 
@@ -183,6 +198,28 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
     ASSERT_EQ(warmFrames.size(), 2u) << warm;
     EXPECT_EQ(field(warmFrames[0].header, "hit"), "1");
     EXPECT_EQ(warmFrames[0].payload, frames[1].payload);
+
+    // Replaying the recorded log in a fresh daemon answers both
+    // requests from the store with the cold session's bytes.
+    const std::string payloads =
+        ::testing::TempDir() + "bds_serve_cli_replay";
+    const std::string stats =
+        ::testing::TempDir() + "bds_serve_cli_replay.stats.json";
+    capture(serveCmd("", "",
+                     "--serve-cache " + cache + " --replay " + log
+                         + " --payload-dir " + payloads
+                         + " --stats-json " + stats));
+    const std::string json = slurp(stats);
+    EXPECT_NE(json.find("\"requests\": 2,"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"hits\": 2,"), std::string::npos) << json;
+    EXPECT_NE(json.find("\"misses\": 0,"), std::string::npos) << json;
+    for (const char *name : {"/0.csv", "/1.csv"}) {
+        EXPECT_EQ(slurp(payloads + name), frames[1].payload) << name;
+        std::remove((payloads + name).c_str());
+    }
+    ::rmdir(payloads.c_str());
+    std::remove(stats.c_str());
+    std::remove(log.c_str());
 
     wipeCache(cache, kQuick42Hash);
 }
