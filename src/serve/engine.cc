@@ -114,8 +114,15 @@ ServeEngine::requestConfig(const RequestRecord &req) const
     return cfg;
 }
 
+ServeEngine::CellKey
+ServeEngine::cellKey(const RequestRecord &req)
+{
+    return {req.scale, req.seed, req.machine,
+            (req.flags & kServeFlagSampled) != 0};
+}
+
 ComputedResult
-ServeEngine::computeCell(const RunConfig &cfg)
+ServeEngine::computeCell(const RunConfig &cfg, const std::string &hashHex)
 {
     TraceSpan span("serve.compute");
     // Everything — machine geometry included — flows from the
@@ -144,7 +151,7 @@ ServeEngine::computeCell(const RunConfig &cfg)
         if (session_)
             session_->recordSweep(report);
     }
-    out.entry.hashHex = runConfigHashHex(cfg);
+    out.entry.hashHex = hashHex;
     out.entry.canonicalConfig = canonicalRunConfig(cfg);
     out.entry.names = report.survivorNames();
 
@@ -233,8 +240,20 @@ ServeEngine::handle(const RequestRecord &req)
         if (req.op != static_cast<std::uint32_t>(ServeOp::Characterize))
             BDS_RAISE(ErrorCode::InvalidConfig,
                       "unsupported request op " << req.op);
-        const RunConfig cfg = requestConfig(req);
-        resp.hashHex = runConfigHashHex(cfg);
+        // The cell key is a pure function of the request's key
+        // fields, so a known cell skips resolving and hashing.
+        const CellKey key = cellKey(req);
+        bool known = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            auto it = hashes_.find(key);
+            if (it != hashes_.end()) {
+                resp.hashHex = it->second;
+                known = true;
+            }
+        }
+        if (!known)
+            resp.hashHex = runConfigHashHex(requestConfig(req));
 
         ComputedResult result;
         const bool bypass = base_.serve.bypassStore
@@ -242,19 +261,24 @@ ServeEngine::handle(const RequestRecord &req)
         if (bypass) {
             Tracer::global().counter("serve.bypass", 1);
             Gate::Slot slot(*gate_);
-            result = computeCell(cfg);
+            result = computeCell(requestConfig(req), resp.hashHex);
         } else {
             result = store_.getOrCompute(
                 resp.hashHex,
                 [&]() -> ComputedResult {
                     Gate::Slot slot(*gate_);
-                    return computeCell(cfg);
+                    return computeCell(requestConfig(req),
+                                       resp.hashHex);
                 },
                 &resp.hit);
         }
         resp.quarantined = result.quarantined;
         resp.payload = projectPayload(result.entry, req);
         resp.ok = true;
+        if (!known) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            hashes_.emplace(key, resp.hashHex);
+        }
     } catch (const Error &e) {
         resp.code = e.code();
         resp.message = e.what();

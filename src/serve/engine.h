@@ -37,8 +37,10 @@
 #define BDS_SERVE_ENGINE_H
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fault/error.h"
@@ -132,10 +134,21 @@ class ServeEngine
 
   private:
     /**
-     * Run the sweep for `cfg`. Quarantine info travels in the
-     * returned ComputedResult so single-flight followers see it too.
+     * The request fields requestConfig() reads: scale, seed, machine
+     * index and the sampled bit. Equal keys resolve to one cell.
      */
-    ComputedResult computeCell(const RunConfig &cfg);
+    using CellKey =
+        std::tuple<std::uint32_t, std::uint64_t, std::uint32_t, bool>;
+
+    static CellKey cellKey(const RequestRecord &req);
+
+    /**
+     * Run the sweep for `cfg`, the cell stored under `hashHex`.
+     * Quarantine info travels in the returned ComputedResult so
+     * single-flight followers see it too.
+     */
+    ComputedResult computeCell(const RunConfig &cfg,
+                               const std::string &hashHex);
 
     /** Project an entry's CSV onto the request's rows/columns. */
     static std::string projectPayload(const ResultEntry &entry,
@@ -146,8 +159,14 @@ class ServeEngine
     Session *session_;
     unsigned maxInFlight_;
 
-    mutable std::mutex mutex_; ///< guards stats_ and session_ use
+    mutable std::mutex mutex_; ///< guards stats_, session_ use, hashes_
     ServeStats stats_;
+
+    /**
+     * runConfigHashHex(requestConfig(req)) of every cell key that
+     * has been answered ok; unanswerable requests never enter.
+     */
+    std::map<CellKey, std::string> hashes_;
 
     /** Counting semaphore bounding concurrent sweeps. */
     struct Gate;

@@ -12,8 +12,18 @@
  * manifest. The payload carries an FNV checksum; loading verifies
  * magic, version, byte counts, the checksum and the END sentinel, so
  * a corrupt or truncated entry is a typed Io error the serving layer
- * converts into a transparent recompute (the same hardening idiom as
- * the trace loader).
+ * converts into a transparent recompute.
+ *
+ * A hit reads the entry file every time (the file stays the only
+ * truth, and the read bumps its recency), but verifies a given set
+ * of bytes only once: the store remembers, per entry, the last bytes
+ * that passed the full check and the entry they parsed to. Bytes
+ * equal to those are served from the memo; any other bytes — a
+ * corrupt, truncated, republished or foreign file — take the full
+ * check. The memo drops an entry whose file a read finds absent or
+ * whose bytes fail the check, and every entry this process evicts,
+ * so it holds at most one entry per cell file the process has read
+ * and still finds on disk.
  *
  * The store sits on the shared-storage layer (src/store/shared.h,
  * docs/STORAGE.md): publishes are atomic and durable (temp + fsync +
@@ -167,11 +177,26 @@ class ResultStore
     /** load() with corrupt entries demoted to a warned miss. */
     bool tryLoad(const std::string &hashHex, ResultEntry *out) const;
 
+    /** Entry file bytes that passed the full check, parsed. */
+    struct Verified
+    {
+        std::string bytes;
+        ResultEntry entry;
+    };
+
+    /** Drop the memo of entry file `name`. */
+    void forget(const std::string &name) const;
+
     /** Shared-storage backend (leases, budget, degradation); mutable
      *  because reads bump recency and the down flag. */
     mutable SharedStore backend_;
     std::mutex mutex_;
     std::map<std::string, std::shared_ptr<Flight>> inflight_;
+
+    mutable std::mutex verifiedMutex_; ///< guards verified_
+    /** Last verified bytes per entry file name (see file comment). */
+    mutable std::map<std::string, std::shared_ptr<const Verified>>
+        verified_;
 };
 
 /** Serialize an entry to the on-disk format (tests, inspection). */

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include <dirent.h>
@@ -236,18 +235,42 @@ SharedStore::read(const std::string &name, std::string *bytes)
     if (!maybeHeal())
         return false;
     const std::string path = entryPath(name);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (!in.good() && !in.eof())
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
         return false;
-    *bytes = buf.str();
+    }
+    // One spare byte past the size fstat reports, so the read that
+    // returns 0 confirms EOF; a file that grew since keeps doubling.
+    std::string buf(static_cast<std::size_t>(st.st_size) + 1, '\0');
+    std::size_t off = 0;
+    for (;;) {
+        if (off == buf.size())
+            buf.resize(buf.size() * 2);
+        const ssize_t got =
+            ::read(fd, buf.data() + off, buf.size() - off);
+        if (got == 0)
+            break;
+        if (got < 0) {
+            if (errno == EINTR)
+                continue;
+            ::close(fd);
+            return false;
+        }
+        off += static_cast<std::size_t>(got);
+    }
+    buf.resize(off);
 
     // Bump mtime so this hit counts as recency for other processes'
-    // eviction decisions too; failure only costs LRU accuracy.
-    ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
+    // eviction decisions too; failure only costs LRU accuracy. The
+    // open fd pins the file actually read, even if a publish has
+    // renamed a new one over its name since.
+    ::futimens(fd, nullptr);
+    ::close(fd);
+    *bytes = std::move(buf);
     {
         std::lock_guard<std::mutex> lock(mu_);
         index_.touch(name, bytes->size());
@@ -256,7 +279,8 @@ SharedStore::read(const std::string &name, std::string *bytes)
 }
 
 bool
-SharedStore::publish(const std::string &name, const std::string &bytes)
+SharedStore::publish(const std::string &name, const std::string &bytes,
+                     std::vector<std::string> *evicted)
 {
     if (!maybeHeal()) {
         globalStoreStats().publishSkipped.fetch_add(
@@ -337,7 +361,9 @@ SharedStore::publish(const std::string &name, const std::string &bytes)
         index_.touch(name, bytes.size());
         index_.save(indexPath_);
     }
-    enforceBudget();
+    std::vector<std::string> gone = enforceBudget();
+    if (evicted)
+        *evicted = std::move(gone);
     return true;
 }
 
@@ -442,15 +468,16 @@ SharedStore::reapOrphans() const
         ::unlink((opts_.dir + "/" + name).c_str());
 }
 
-void
+std::vector<std::string>
 SharedStore::enforceBudget()
 {
+    std::vector<std::string> evicted;
     if (opts_.maxBytes == 0)
-        return;
+        return evicted;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (down_)
-            return;
+            return evicted;
     }
 
     // The directory is the source of truth: the in-memory index
@@ -462,7 +489,7 @@ SharedStore::enforceBudget()
     index_.reconcile(scan);
     std::uint64_t total = index_.totalBytes();
     if (total <= opts_.maxBytes)
-        return;
+        return evicted;
 
     AtomicStoreStats &g = globalStoreStats();
     for (const IndexedEntry &victim : index_.lruOrder()) {
@@ -473,6 +500,7 @@ SharedStore::enforceBudget()
         // file keeps its bytes (POSIX unlink semantics).
         ::unlink(entryPath(victim.name).c_str());
         index_.erase(victim.name);
+        evicted.push_back(victim.name);
         total -= victim.bytes < total ? victim.bytes : total;
         g.evicted.fetch_add(1, std::memory_order_relaxed);
         g.evictedBytes.fetch_add(victim.bytes,
@@ -481,6 +509,7 @@ SharedStore::enforceBudget()
         Tracer::global().counter("store.evict_bytes", victim.bytes);
     }
     index_.save(indexPath_);
+    return evicted;
 }
 
 } // namespace bds

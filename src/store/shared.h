@@ -152,7 +152,8 @@ class SharedStore
     /**
      * Read entry `name` into *bytes. False when absent, unreadable,
      * or the store is down (a cache can always miss). A hit bumps
-     * the file mtime so recency survives process boundaries.
+     * the mtime of the file it read, so recency survives process
+     * boundaries.
      */
     bool read(const std::string &name, std::string *bytes);
 
@@ -160,9 +161,11 @@ class SharedStore
      * Atomically publish entry `name` (tmp + fsync + rename), then
      * enforce the byte budget. Never throws: any failure — real or
      * injected — flips the store down and returns false. Callers
-     * treat false as "computed but not cached".
+     * treat false as "computed but not cached". On success,
+     * `evicted` (when given) receives the entries the budget evicted.
      */
-    bool publish(const std::string &name, const std::string &bytes);
+    bool publish(const std::string &name, const std::string &bytes,
+                 std::vector<std::string> *evicted = nullptr);
 
     /**
      * Enter the single-flight protocol for entry `name`. Returns a
@@ -176,9 +179,9 @@ class SharedStore
      * Bring entry bytes back under maxBytes, evicting LRU entries.
      * Rescans the directory as the source of truth (repairs stale
      * index state from crashes or other daemons). No-op when
-     * unbounded or down.
+     * unbounded or down. Returns the names of the evicted entries.
      */
-    void enforceBudget();
+    std::vector<std::string> enforceBudget();
 
   private:
     bool maybeHeal();

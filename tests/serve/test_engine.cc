@@ -235,6 +235,47 @@ TEST_F(ServeEngineTest, CountersTrackRequestsHitsAndMisses)
         << events;
 }
 
+TEST(ServeEngineKeys, CellsDifferingInOneKeyFieldNeverAlias)
+{
+    // Requests that differ only in seed, machine or the sampled bit
+    // are different cells. Each gets its own fake entry, and every
+    // repeat of a request must be served that entry, whatever the
+    // engine remembers of the others' keys.
+    RunConfig cfg = engineConfig("bds_engine_keys_cache");
+    ServeEngine engine(cfg);
+    std::vector<RequestRecord> reqs(4, quickRequest(11));
+    reqs[1].seed = 12;
+    reqs[2].machine = 1;
+    reqs[3].flags |= kServeFlagSampled;
+
+    std::vector<ResultEntry> entries;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        ResultEntry e;
+        e.hashHex = runConfigHashHex(engine.requestConfig(reqs[i]));
+        e.canonicalConfig = canonicalRunConfig(engine.requestConfig(reqs[i]));
+        e.names = {"H-Sort"};
+        e.csv = "workload,LOAD\nH-Sort,0." + std::to_string(i + 1)
+            + "\n";
+        e.manifestJson = "{}\n";
+        ASSERT_TRUE(engine.store().store(e));
+        entries.push_back(e);
+    }
+    for (std::size_t i = 0; i < entries.size(); ++i)
+        for (std::size_t j = i + 1; j < entries.size(); ++j)
+            ASSERT_NE(entries[i].hashHex, entries[j].hashHex);
+
+    for (int round = 0; round < 2; ++round)
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            const ServeResponse resp = engine.handle(reqs[i]);
+            ASSERT_TRUE(resp.ok) << resp.message;
+            EXPECT_TRUE(resp.hit) << "round " << round << " cell " << i;
+            EXPECT_EQ(resp.hashHex, entries[i].hashHex);
+            EXPECT_EQ(resp.payload, entries[i].csv);
+        }
+    EXPECT_EQ(engine.stats().misses, 0u);
+    wipeCache(cfg, &engine, reqs);
+}
+
 TEST(ServeEngineFault, InjectedFaultIsQuarantinedPerRequest)
 {
     // A separate engine whose base config arms quarantine + a

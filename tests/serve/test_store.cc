@@ -102,8 +102,16 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     StoreDir tmp("bds_store_corrupt");
     ResultStore store(tmp.dir());
     const ResultEntry in = sampleEntry("00000000000000aa");
-    store.store(in);
     const std::string path = store.entryPath(in.hashHex);
+
+    // Each case damages an entry this store has already loaded (and
+    // so verified once): the damage must still be caught.
+    auto storeAndLoad = [&] {
+        ASSERT_TRUE(store.store(in));
+        ResultEntry out;
+        ASSERT_TRUE(store.load(in.hashHex, &out));
+        EXPECT_EQ(out.csv, in.csv);
+    };
 
     auto expectIo = [&](const char *why) {
         ResultEntry out;
@@ -116,6 +124,7 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     };
 
     // Flip a payload byte: checksum mismatch.
+    storeAndLoad();
     {
         std::ifstream f(path, std::ios::binary);
         std::string bytes((std::istreambuf_iterator<char>(f)),
@@ -129,7 +138,7 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     expectIo("corrupt csv payload");
 
     // Truncate: missing END sentinel.
-    store.store(in);
+    storeAndLoad();
     {
         std::ifstream f(path, std::ios::binary);
         std::string bytes((std::istreambuf_iterator<char>(f)),
@@ -141,6 +150,7 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     expectIo("truncated entry");
 
     // Foreign bytes: bad magic.
+    storeAndLoad();
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << "not a result entry\n";
@@ -148,6 +158,7 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     expectIo("bad magic");
 
     // An entry keyed to a different hash (renamed file).
+    storeAndLoad();
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         writeResultEntry(out, sampleEntry("00000000000000bb"));
@@ -157,12 +168,113 @@ TEST(ServeStore, CorruptEntriesAreTypedIoErrors)
     // A corrupt size field too large to allocate must be a typed Io
     // error, not a std::length_error/bad_alloc that dodges the
     // corrupt-entry recovery.
+    storeAndLoad();
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << "BDSRESULT 2\nhash 00000000000000aa\n"
             << "config_bytes 18446744073709551615\n";
     }
     expectIo("implausible declared size");
+}
+
+/** The bytes of the file at `path`. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(f)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(ServeStore, LoadedEntryIsReverifiedWhenItsBytesChangeInPlace)
+{
+    // A load remembers the bytes it verified; a later flip of one CSV
+    // byte at the same length must not be served from that memory.
+    StoreDir tmp("bds_store_memo_flip");
+    ResultStore store(tmp.dir());
+    const ResultEntry good = sampleEntry("00000000000000aa");
+    store.store(good);
+    ResultEntry out;
+    ASSERT_TRUE(store.load(good.hashHex, &out));
+    ASSERT_TRUE(store.load(good.hashHex, &out));
+
+    const std::string path = store.entryPath(good.hashHex);
+    {
+        std::string bytes = fileBytes(path);
+        const std::size_t pos = bytes.find("0.375196");
+        ASSERT_NE(pos, std::string::npos);
+        bytes[pos] = '9';
+        std::ofstream f(path, std::ios::binary | std::ios::trunc);
+        f << bytes;
+    }
+    try {
+        store.load(good.hashHex, &out);
+        FAIL() << "expected Error(Io) for a flipped byte";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Io);
+    }
+
+    int computes = 0;
+    bool hit = true;
+    const ComputedResult got = store.getOrCompute(
+        good.hashHex,
+        [&] {
+            ++computes;
+            ComputedResult r;
+            r.entry = good;
+            return r;
+        },
+        &hit);
+    EXPECT_EQ(computes, 1);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(got.entry.csv, good.csv);
+    ASSERT_TRUE(store.load(good.hashHex, &out));
+    EXPECT_EQ(out.csv, good.csv);
+}
+
+TEST(ServeStore, RepublishedEntryIsServedNotTheRememberedOne)
+{
+    StoreDir tmp("bds_store_memo_republish");
+    ResultStore store(tmp.dir());
+    const ResultEntry first = sampleEntry("00000000000000aa");
+    store.store(first);
+    ResultEntry out;
+    ASSERT_TRUE(store.load(first.hashHex, &out));
+    EXPECT_EQ(out.csv, first.csv);
+
+    ResultEntry second = first;
+    second.csv = "workload,LOAD\nH-Sort,0.5\nS-Grep,0.25\n";
+    ASSERT_TRUE(store.store(second));
+    ASSERT_TRUE(store.load(first.hashHex, &out));
+    EXPECT_EQ(out.csv, second.csv);
+}
+
+TEST(ServeStore, EntryRemovedByAnotherStoreIsAMiss)
+{
+    // Two stores on one directory model two daemons: a file the
+    // other one unlinks or evicts is gone, whatever this one loaded.
+    StoreDir tmp("bds_store_memo_gone");
+    ResultStore mine(tmp.dir());
+    const ResultEntry a = sampleEntry("00000000000000aa");
+    const ResultEntry b = sampleEntry("00000000000000bb");
+    mine.store(a);
+    mine.store(b);
+    ResultEntry out;
+    ASSERT_TRUE(mine.load(a.hashHex, &out));
+    ASSERT_TRUE(mine.load(b.hashHex, &out));
+
+    // Unlinked outright.
+    ASSERT_EQ(std::remove(mine.entryPath(a.hashHex).c_str()), 0);
+    EXPECT_FALSE(mine.load(a.hashHex, &out));
+
+    // Evicted by the other store's byte budget: its publish of a
+    // third entry leaves room for one entry file only.
+    const std::uint64_t oneEntry =
+        fileBytes(mine.entryPath(b.hashHex)).size();
+    ResultStore other(tmp.dir(), oneEntry + oneEntry / 2);
+    ASSERT_TRUE(other.store(sampleEntry("00000000000000cc")));
+    EXPECT_FALSE(mine.load(b.hashHex, &out));
+    ASSERT_TRUE(mine.load("00000000000000cc", &out));
 }
 
 TEST(ServeStore, VersionOneEntriesAreRejectedAndRecomputed)
