@@ -77,21 +77,6 @@ benchMachine(const bds::RunConfig &cfg)
 }
 
 /**
- * Machine for a bench that manages its own tiny flag set instead of
- * RunConfig (uarch_speed): BDS_MACHINE still wins, absent means the
- * Table III sim default. Funneled through RunConfig::applyEnv() —
- * the one env reader — so that bench gets the same strict validation
- * as everything else.
- */
-inline bds::NodeConfig
-benchMachineFromEnv()
-{
-    bds::RunConfig cfg;
-    cfg.applyEnv();
-    return benchMachine(cfg);
-}
-
-/**
  * Write the run-environment JSON object — "environment": {...} with
  * no trailing comma or newline — into a bench artifact. Performance
  * numbers are only comparable within one environment, so every

@@ -2,96 +2,12 @@
  * @file
  * The reproduction scorecard: every encoded paper claim checked
  * against the characterization run, one PASS/FAIL row each.
- *
- * Also records the parallel-execution baseline: the 32-workload
- * sweep is timed serially (threads = 1) and in parallel (BDS_THREADS
- * or all cores) at quick scale, and the wall-clock report is written
- * to BENCH_parallel_runall.json so the perf trajectory of the
- * execution engine is tracked across PRs.
  */
 
-#include <fstream>
-#include <iomanip>
 #include <iostream>
 
 #include "core/findings.h"
 #include "bench_common.h"
-
-namespace {
-
-/** One timed runAll() sweep at the given thread count. */
-bds::SweepTiming
-timedSweep(const bds::NodeConfig &machine,
-           const bds::ScaleProfile &scale, std::uint64_t seed,
-           unsigned threads)
-{
-    bds::WorkloadRunner runner(machine, scale, seed);
-    runner.setParallel(bds::ParallelOptions{threads});
-    bds::SweepTiming timing;
-    runner.runAll(nullptr, &timing);
-    return timing;
-}
-
-/** Emit one {"threads": ..., "total_seconds": ..., ...} object. */
-void
-writeTimingJson(std::ostream &os, const char *key,
-                const bds::SweepTiming &t, const char *indent)
-{
-    auto ids = bds::allWorkloads();
-    os << indent << '"' << key << "\": {\n"
-       << indent << "  \"threads\": " << t.threads << ",\n"
-       << indent << "  \"total_seconds\": " << t.totalSeconds << ",\n"
-       << indent << "  \"per_workload_seconds\": {";
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        os << (i ? ", " : "") << '"' << ids[i].name() << "\": "
-           << t.perWorkloadSeconds[i];
-    os << "}\n" << indent << "}";
-}
-
-/** Time serial vs parallel runAll() and write the JSON baseline. */
-void
-recordParallelBaseline(bds::Session &session)
-{
-    const bds::RunConfig &cfg = session.config();
-    const std::uint64_t seed = cfg.seed;
-    // Quick scale keeps the doubled sweep cheap; relative speedup is
-    // what the baseline tracks, not absolute simulation time.
-    const bds::ScaleProfile scale = bds::ScaleProfile::quick();
-    unsigned hw = bds::ParallelOptions{}.resolved();
-    unsigned par_threads = cfg.parallel.resolved();
-
-    const bds::NodeConfig machine = bdsbench::benchMachine(cfg);
-    std::cerr << "[bench] timing 32-workload sweep: serial vs "
-              << par_threads << " thread(s)\n";
-    bds::SweepTiming serial = timedSweep(machine, scale, seed, 1);
-    bds::SweepTiming parallel =
-        timedSweep(machine, scale, seed, par_threads);
-    double speedup = parallel.totalSeconds > 0.0
-        ? serial.totalSeconds / parallel.totalSeconds : 0.0;
-
-    std::ofstream os("BENCH_parallel_runall.json");
-    os << std::setprecision(6) << std::fixed;
-    os << "{\n"
-       << "  \"bench\": \"parallel_runall\",\n"
-       << "  \"scale\": \"quick\",\n"
-       << "  \"seed\": " << seed << ",\n"
-       << "  \"workloads\": " << bds::allWorkloads().size() << ",\n"
-       << "  \"hardware_concurrency\": " << hw << ",\n";
-    bdsbench::writeEnvironmentJson(os, "  ");
-    os << ",\n";
-    writeTimingJson(os, "serial", serial, "  ");
-    os << ",\n";
-    writeTimingJson(os, "parallel", parallel, "  ");
-    os << ",\n  \"speedup\": " << speedup << "\n}\n";
-    session.noteArtifact("BENCH_parallel_runall.json");
-
-    std::cout << "\nparallel runAll baseline: serial "
-              << serial.totalSeconds << " s, " << parallel.threads
-              << "-thread " << parallel.totalSeconds << " s ("
-              << speedup << "x) -> BENCH_parallel_runall.json\n";
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -108,6 +24,5 @@ main(int argc, char **argv)
     std::cout << (failed == 0 ? "\nall findings reproduced\n"
                               : "\nsee EXPERIMENTS.md for the "
                                 "documented deviations\n");
-    recordParallelBaseline(session);
     return 0;
 }

@@ -336,8 +336,9 @@ loadRequestLog(const std::string &path)
     // exactly what every v1 request meant).
     const std::streamsize rec_bytes = static_cast<std::streamsize>(
         version == 1 ? kRequestRecordV1Bytes : sizeof(RequestRecord));
+    // No reserve(count): an overstated count must end in the typed
+    // truncation error below, not in a multi-gigabyte allocation.
     std::vector<RequestRecord> out;
-    out.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         RequestRecord req;
         in.read(reinterpret_cast<char *>(&req), rec_bytes);

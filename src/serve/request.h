@@ -29,10 +29,10 @@
  * The binary form follows the load_workload/store_workload idiom of
  * the index-benchmark literature: a small header (magic, version,
  * record count) followed by packed fixed-size records, so a million-
- * request log is one sequential read. Loading applies the same
- * hardening as the trace loader: bad magic, wrong version, truncated
- * records or an overstated count are typed Io errors, never silent
- * short reads.
+ * request log is one sequential read. Loading rejects bad magic, a
+ * wrong version, truncated records (an overstated count) and trailing
+ * bytes beyond the declared count, each as a typed Io error, never a
+ * silent short read.
  */
 
 #ifndef BDS_SERVE_REQUEST_H

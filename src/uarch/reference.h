@@ -5,13 +5,10 @@
  * predictor, kept verbatim from before the structure-of-arrays
  * rewrite of cache.h/tlb.h/branch.h.
  *
- * These exist for two consumers and are deliberately NOT used by the
- * simulator itself:
- *  - tests/uarch/test_flat_equivalence.cc drives both models with
- *    identical operation streams and requires bit-identical observable
- *    behavior (hits, states, evictions, LRU victim choice);
- *  - bench/uarch_speed.cc measures the flat model's per-structure
- *    speedup against these as the "before" side.
+ * They exist for one consumer and are deliberately NOT used by the
+ * simulator itself: tests/uarch/test_flat_equivalence.cc drives both
+ * models with identical operation streams and requires bit-identical
+ * observable behavior (hits, states, evictions, LRU victim choice).
  *
  * The flat model grew combined one-scan operations (insertOrSetState,
  * setStateDirty, markSharedIfPresent, ...). The reference expresses

@@ -430,10 +430,6 @@ WorkloadRunner::runAll(std::vector<WorkloadResult> *details,
             m(row, j) = slots[rep.survivors[row]].metrics[j];
 
     if (timing) {
-        timing->perWorkloadSeconds.clear();
-        for (std::size_t i : rep.survivors)
-            timing->perWorkloadSeconds.push_back(
-                slots[i].wallSeconds);
         timing->totalSeconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start).count();

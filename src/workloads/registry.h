@@ -92,9 +92,6 @@ struct WorkloadResult
 /** Wall-clock accounting for one runAll() sweep. */
 struct SweepTiming
 {
-    /** Host seconds per surviving workload, in sweep row order. */
-    std::vector<double> perWorkloadSeconds;
-
     /** Wall-clock of the whole sweep (not the sum of the rows). */
     double totalSeconds = 0.0;
 
@@ -225,8 +222,8 @@ class WorkloadRunner
      * quarantine the failed rows are dropped and the survivors kept.
      * @param details Optional sink for the per-workload results,
      *        rows parallel to the returned matrix.
-     * @param timing Optional sink for the wall-clock report, rows
-     *        parallel to the returned matrix.
+     * @param timing Optional sink for the sweep's wall-clock and
+     *        thread count.
      * @param report Optional sink for the per-workload RunRecords
      *        (all 32, in allWorkloads() order) and the survivor set.
      * @return survivors x 45 metric matrix, rows in allWorkloads()

@@ -27,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_path.h"
+
 namespace bds {
 namespace {
 
@@ -147,8 +149,8 @@ const char *const kQuick42Hash = "0f05f95f1abacd81";
 TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
 {
     const std::string cache =
-        ::testing::TempDir() + "bds_serve_cli_cache";
-    const std::string log = ::testing::TempDir() + "bds_serve_cli.reqlog";
+        bdstest::scratchPath("bds_serve_cli_cache");
+    const std::string log = bdstest::scratchPath("bds_serve_cli.reqlog");
     wipeCache(cache, kQuick42Hash);
 
     // The cold session records its characterize requests as a log.
@@ -202,9 +204,9 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
     // Replaying the recorded log in a fresh daemon answers both
     // requests from the store with the cold session's bytes.
     const std::string payloads =
-        ::testing::TempDir() + "bds_serve_cli_replay";
+        bdstest::scratchPath("bds_serve_cli_replay");
     const std::string stats =
-        ::testing::TempDir() + "bds_serve_cli_replay.stats.json";
+        bdstest::scratchPath("bds_serve_cli_replay.stats.json");
     capture(serveCmd("", "",
                      "--serve-cache " + cache + " --replay " + log
                          + " --payload-dir " + payloads
@@ -227,7 +229,7 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
 TEST(ServeCli, MalformedRequestsAreErrLinesAndTheDaemonSurvives)
 {
     const std::string cache =
-        ::testing::TempDir() + "bds_serve_cli_err_cache";
+        bdstest::scratchPath("bds_serve_cli_err_cache");
     const std::string out = capture(serveCmd(
         "reticulate\\ncharacterize scale=galactic\\n"
         "characterize seed=nine\\nping\\nquit\\n",
@@ -251,7 +253,7 @@ TEST(ServeCli, MalformedRequestsAreErrLinesAndTheDaemonSurvives)
 TEST(ServeCli, InjectedFaultIsQuarantinedAndTheDaemonKeepsServing)
 {
     const std::string cache =
-        ::testing::TempDir() + "bds_serve_cli_fault_cache";
+        bdstest::scratchPath("bds_serve_cli_fault_cache");
     const std::string out = capture(serveCmd(
         "characterize scale=quick seed=7\\nping\\nquit\\n",
         "BDS_FAULT_THROW=H-Sort BDS_FAIL_POLICY=quarantine",
@@ -315,9 +317,9 @@ readReply(int fd)
 TEST(ServeCli, SocketClientDisconnectNeverKillsTheDaemon)
 {
     const std::string sock =
-        ::testing::TempDir() + "bds_serve_cli.sock";
+        bdstest::scratchPath("bds_serve_cli.sock");
     const std::string cache =
-        ::testing::TempDir() + "bds_serve_cli_sock_cache";
+        bdstest::scratchPath("bds_serve_cli_sock_cache");
     wipeCache(cache, kQuick42Hash);
     std::remove(sock.c_str());
 

@@ -27,11 +27,12 @@
 #include "serve/confighash.h"
 #include "serve/engine.h"
 #include "workloads/registry.h"
+#include "scratch_path.h"
 
 namespace bds {
 namespace {
 
-/** The engine's base config: quick scale, cache under TempDir. */
+/** The engine's base config: quick scale, cache in a scratch dir. */
 RunConfig
 engineConfig(const std::string &cacheName)
 {
@@ -41,7 +42,7 @@ engineConfig(const std::string &cacheName)
     cfg.seed = 42;
     cfg.manifest = false;
     cfg.serve.enabled = true;
-    cfg.serve.storeDir = ::testing::TempDir() + cacheName;
+    cfg.serve.storeDir = bdstest::scratchPath(cacheName);
     return cfg;
 }
 

@@ -17,6 +17,7 @@
 
 #include "metrics/schema.h"
 #include "serve/request.h"
+#include "scratch_path.h"
 
 namespace bds {
 namespace {
@@ -26,7 +27,7 @@ class TempFile
 {
   public:
     explicit TempFile(const std::string &name)
-        : path_(::testing::TempDir() + name)
+        : path_(bdstest::scratchPath(name))
     {
         std::remove(path_.c_str());
     }
@@ -282,6 +283,17 @@ TEST(ServeRequest, LoadingHardensAgainstCorruption)
                   static_cast<std::streamsize>(bytes.size() - 7));
     }
     expectIo("truncated record");
+
+    // A count no file could hold: typed Io, not an allocation failure.
+    storeRequestLog(log.path(), in);
+    {
+        std::fstream f(log.path(), std::ios::binary | std::ios::in
+                                       | std::ios::out);
+        f.seekp(8);
+        const std::uint32_t n = 0xffffffffu;
+        f.write(reinterpret_cast<const char *>(&n), sizeof(n));
+    }
+    expectIo("overstated count");
 
     // Bad magic.
     storeRequestLog(log.path(), in);

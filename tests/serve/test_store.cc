@@ -22,6 +22,7 @@
 
 #include "fault/error.h"
 #include "serve/store.h"
+#include "scratch_path.h"
 
 namespace bds {
 namespace {
@@ -31,7 +32,7 @@ class StoreDir
 {
   public:
     explicit StoreDir(const std::string &name)
-        : dir_(::testing::TempDir() + name)
+        : dir_(bdstest::scratchPath(name))
     {
         // Entries are flat "<hash>.result" files: removing them and
         // the directory is a full wipe.

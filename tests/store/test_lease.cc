@@ -19,6 +19,7 @@
 
 #include "fault/error.h"
 #include "store/lease.h"
+#include "scratch_path.h"
 
 namespace bds {
 namespace {
@@ -26,7 +27,7 @@ namespace {
 std::string
 leasePath(const std::string &name)
 {
-    return ::testing::TempDir() + name + ".lease";
+    return bdstest::scratchPath(name + ".lease");
 }
 
 /** Fast-poll options so waits settle in milliseconds. */

@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -26,6 +27,7 @@
 #include "fault/error.h"
 #include "fault/inject.h"
 #include "store/shared.h"
+#include "scratch_path.h"
 
 namespace bds {
 namespace {
@@ -36,11 +38,25 @@ struct DisarmGuard
     ~DisarmGuard() { FaultInjector::global().disarm(); }
 };
 
+/** Every directory freshDir() made, removed when the process exits. */
+struct MadeDirs
+{
+    std::vector<std::string> dirs;
+    ~MadeDirs()
+    {
+        for (const std::string &dir : dirs)
+            std::system(("rm -rf '" + dir + "'").c_str());
+    }
+};
+
+/** An empty scratch directory for this process; see scratch_path.h. */
 std::string
 freshDir(const std::string &name)
 {
-    const std::string dir = ::testing::TempDir() + name;
+    static MadeDirs made;
+    const std::string dir = bdstest::scratchPath(name);
     std::system(("rm -rf '" + dir + "'").c_str());
+    made.dirs.push_back(dir);
     return dir;
 }
 

@@ -7,8 +7,7 @@
  * results, eviction victims, invalidate results, line census, and
  * full per-slot content. This is the per-structure half of the
  * fast-simulation contract; the whole-system half lives in
- * test_warm_paths.cc and the replay equality checked by
- * bench/uarch_speed.cc.
+ * test_warm_paths.cc.
  */
 
 #include <tuple>
@@ -56,20 +55,25 @@ validState(std::uint32_t pick)
 
 /**
  * Drive flat and reference caches with one random operation stream
- * and require identical behavior at every step.
+ * and require identical behavior at every step. Addresses are uniform
+ * over the footprint; with `hot` set, 3/4 of them land in its first
+ * eighth instead (an L1's view: mostly hits, a steady eviction
+ * stream).
  */
 void
 runCachePair(const CacheConfig &cfg, std::uint64_t footprint,
-             int num_ops, std::uint32_t seed)
+             int num_ops, std::uint32_t seed, bool hot = false)
 {
     bds::SetAssocCache flat(cfg);
     bds::refmodel::SetAssocCache ref(cfg);
     Pcg32 rng(seed);
+    const auto lines = static_cast<std::uint32_t>(footprint / 64);
 
     for (int i = 0; i < num_ops; ++i) {
-        std::uint64_t addr =
-            (rng.nextBounded(static_cast<std::uint32_t>(footprint / 64))
-             * 64ULL) + rng.nextBounded(64);
+        std::uint32_t line = hot && rng.nextBounded(4) != 0
+            ? rng.nextBounded(lines / 8)
+            : rng.nextBounded(lines);
+        std::uint64_t addr = line * 64ULL + rng.nextBounded(64);
         std::uint32_t op = rng.nextBounded(10);
         switch (op) {
         case 0: { // probe
@@ -157,6 +161,7 @@ runCachePair(const CacheConfig &cfg, std::uint64_t footprint,
 TEST(FlatCacheEquivalence, Pow2SetsL1Geometry)
 {
     runCachePair({32 * 1024, 8, 64}, 256 * 1024, 60000, 11);
+    runCachePair({32 * 1024, 8, 64}, 64 * 1024, 60000, 13, /*hot=*/true);
 }
 
 TEST(FlatCacheEquivalence, Factor3SetsSmall)
