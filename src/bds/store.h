@@ -3,7 +3,7 @@
  * Facade: the fleet-safe shared storage layer both caches sit on —
  * bds::SharedStore (fsync-before-rename publish, LRU byte budgets,
  * store-down degradation and self-healing), the cross-process
- * single-flight lease protocol (bds::Lease, acquireLease) and the
+ * single-flight flock leases (bds::Lease, acquireLease) and the
  * crash-rebuildable recency index (bds::StoreIndex), plus the
  * process-wide bds::storeStats() counters.
  */

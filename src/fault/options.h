@@ -98,12 +98,12 @@ struct FaultOptions
     /**
      * Shared-store I/O sites that fail deterministically:
      * "store.write" (entry write), "store.rename" (publish rename),
-     * "store.lease" (lease acquisition), "store.enospc" (disk-full
-     * on write), or "*" for all of them. Unlike the workload sites,
-     * `attempts` bounds the *total number of fires* across the run
-     * (0 = fire every time) — so `attempts=1` fails exactly one
-     * store operation and lets the store heal, pinning the
-     * degrade-then-recover path. Storage-only by construction: the
+     * "store.lease" (before taking the lease flock), "store.enospc"
+     * (disk-full on write), or "*" for all of them. Unlike the
+     * workload sites, `attempts` bounds the *total number of fires*
+     * across the run (0 = fire every time) — so `attempts=1` fails
+     * exactly one store operation and lets the store heal, pinning
+     * the degrade-then-recover path. Storage-only by construction: the
      * spec never changes computed bytes, so it stays outside the
      * canonical RunConfig hash.
      */

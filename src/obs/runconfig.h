@@ -56,7 +56,8 @@
  *   BDS_FAULT_IO       = site,... | *       fail shared-store I/O
  *                                           sites (store.write,
  *                                           store.rename,
- *                                           store.lease,
+ *                                           store.lease
+ *                                           (lease flock),
  *                                           store.enospc)
  *   BDS_SERVE_SOCKET   = <path>             bds_serve Unix socket
  *   BDS_SERVE_CACHE    = <dir>              result-store directory

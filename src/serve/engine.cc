@@ -179,14 +179,13 @@ ServeEngine::computeCell(const RunConfig &cfg, const std::string &hashHex)
 }
 
 std::string
-ServeEngine::projectPayload(const ResultEntry &entry,
-                            const RequestRecord &req)
+ServeEngine::projectPayload(std::string csv, const RequestRecord &req)
 {
     const bool all_rows = req.workloadMask == 0xffffffffu;
     if (all_rows && req.metricMask == 0)
-        return entry.csv; // the byte-identical full-width fast path
+        return csv; // the byte-identical full-width fast path
 
-    std::istringstream in(entry.csv);
+    std::istringstream in(csv);
     MetricTable table = readMetricsCsv(in);
     MetricSet set =
         req.metricMask
@@ -219,9 +218,9 @@ ServeEngine::projectPayload(const ResultEntry &entry,
         for (std::size_t c = 0; c < set.size(); ++c)
             res.rawMetrics(r, c) = aligned(rows[r], c);
     }
-    std::ostringstream csv;
-    writeMetricsCsv(csv, res);
-    return csv.str();
+    std::ostringstream out;
+    writeMetricsCsv(out, res);
+    return out.str();
 }
 
 ServeResponse
@@ -272,8 +271,8 @@ ServeEngine::handle(const RequestRecord &req)
                 },
                 &resp.hit);
         }
-        resp.quarantined = result.quarantined;
-        resp.payload = projectPayload(result.entry, req);
+        resp.quarantined = std::move(result.quarantined);
+        resp.payload = projectPayload(std::move(result.entry.csv), req);
         resp.ok = true;
         if (!known) {
             std::lock_guard<std::mutex> lock(mutex_);

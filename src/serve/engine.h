@@ -150,8 +150,11 @@ class ServeEngine
     ComputedResult computeCell(const RunConfig &cfg,
                                const std::string &hashHex);
 
-    /** Project an entry's CSV onto the request's rows/columns. */
-    static std::string projectPayload(const ResultEntry &entry,
+    /**
+     * Project an entry's CSV onto the request's rows/columns; a
+     * full-width request gets `csv` itself, moved, not copied.
+     */
+    static std::string projectPayload(std::string csv,
                                       const RequestRecord &req);
 
     RunConfig base_;

@@ -84,8 +84,6 @@ writeStatsJson(const std::string &path, const bds::ServeStats &s)
         << "    \"lease_acquires\": " << s.store.leaseAcquires
         << ",\n"
         << "    \"lease_waits\": " << s.store.leaseWaits << ",\n"
-        << "    \"lease_takeovers\": " << s.store.leaseTakeovers
-        << ",\n"
         << "    \"index_rebuilds\": " << s.store.indexRebuilds << "\n"
         << "  }\n"
         << "}\n";

@@ -155,7 +155,6 @@ ServeServer::handleLine(const std::string &raw, std::uint64_t id,
             << " store_heals=" << s.store.heals
             << " store_lease_acquires=" << s.store.leaseAcquires
             << " store_lease_waits=" << s.store.leaseWaits
-            << " store_lease_takeovers=" << s.store.leaseTakeovers
             << " store_index_rebuilds=" << s.store.indexRebuilds
             << '\n';
         out.flush();

@@ -150,6 +150,7 @@ readResultEntry(std::istream &is, const std::string &what)
 
 struct ResultStore::Flight
 {
+    std::size_t followers = 0; ///< guarded by ResultStore::mutex_
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
@@ -282,6 +283,7 @@ ResultStore::getOrCompute(const std::string &hashHex,
         auto it = inflight_.find(hashHex);
         if (it != inflight_.end()) {
             flight = it->second;
+            ++flight->followers;
         } else {
             flight = std::make_shared<Flight>();
             inflight_[hashHex] = flight;
@@ -333,13 +335,18 @@ ResultStore::getOrCompute(const std::string &hashHex,
         error = std::current_exception();
     }
 
+    // Once the flight leaves inflight_ no follower can join it, so
+    // the result is copied only when someone is already waiting.
+    std::size_t followers = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         inflight_.erase(hashHex);
+        followers = flight->followers;
     }
     {
         std::lock_guard<std::mutex> lock(flight->mutex);
-        flight->result = result;
+        if (followers)
+            flight->result = result;
         flight->error = error;
         flight->done = true;
     }

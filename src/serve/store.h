@@ -35,9 +35,9 @@
  * Single-flight is two-level. Within a process, getOrCompute()
  * deduplicates concurrent same-key requests: one computes, the rest
  * wait for its result. Across processes, the per-process leader
- * takes the entry's lease file: exactly one daemon computes a given
- * cell while the other daemons' leaders wait for its publish (or
- * deterministically take over if it dies or wedges).
+ * takes the entry's lease (a flock on `<entry>.lease`): exactly one
+ * daemon computes a given cell while the other daemons' leaders
+ * block until it publishes, fails or exits.
  */
 
 #ifndef BDS_SERVE_STORE_H

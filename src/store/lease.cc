@@ -1,16 +1,11 @@
 #include "store/lease.h"
 
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
-#include <signal.h>
+#include <sys/file.h>
 #include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
 
 #include "fault/error.h"
@@ -19,230 +14,62 @@ namespace bds {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t
-elapsedMs(Clock::time_point since)
+/** Lock `path` with flock `op`; nullptr when LOCK_NB finds it held. */
+std::unique_ptr<Lease>
+lockLease(const std::string &path, int op)
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            Clock::now() - since)
-            .count());
-}
-
-/** Render the lease payload for (pid, beat). */
-std::string
-leaseBody(long pid, std::uint64_t beat)
-{
-    std::ostringstream body;
-    body << "BDSLEASE 1\npid " << pid << "\nbeat " << beat << '\n';
-    return body.str();
-}
-
-/**
- * Re-publish the lease payload atomically (temp + rename), so a
- * waiter never reads a half-written beat. Failures are swallowed: the
- * lease may legitimately have been taken over and unlinked, and a
- * heartbeat that cannot land simply looks wedged to waiters — the
- * protocol's designed degradation.
- */
-void
-republishLease(const std::string &path, long pid, std::uint64_t beat)
-{
-    std::ostringstream tmpName;
-    tmpName << path << ".hb." << pid;
-    const std::string tmp = tmpName.str();
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return;
-        out << leaseBody(pid, beat);
-        if (!out) {
-            std::remove(tmp.c_str());
-            return;
+    for (;;) {
+        const int fd =
+            ::open(path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0666);
+        if (fd < 0) {
+            const int err = errno;
+            BDS_RAISE(ErrorCode::Io, "cannot open lease '"
+                                         << path << "': "
+                                         << std::strerror(err));
         }
+        int err;
+        do
+            err = ::flock(fd, op) == 0 ? 0 : errno;
+        while (err == EINTR);
+        if (err != 0) {
+            ::close(fd);
+            if (err == EWOULDBLOCK)
+                return nullptr;
+            BDS_RAISE(ErrorCode::Io, "cannot lock lease '"
+                                         << path << "': "
+                                         << std::strerror(err));
+        }
+        // The holder we waited for unlinked this file before we got
+        // the lock, so it guards nothing: start over on the path.
+        struct stat held, named;
+        if (::fstat(fd, &held) == 0 && ::stat(path.c_str(), &named) == 0
+            && held.st_dev == named.st_dev && held.st_ino == named.st_ino)
+            return std::make_unique<Lease>(path, fd);
+        ::close(fd);
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        std::remove(tmp.c_str());
 }
 
 } // namespace
 
-bool
-pidVanished(long pid)
+Lease::~Lease()
 {
-    if (pid <= 0)
-        return true;
-    if (::kill(static_cast<pid_t>(pid), 0) == 0)
-        return false;
-    return errno == ESRCH;
-}
-
-Lease::Lease(std::string path, LeaseOptions opts)
-    : path_(std::move(path)), opts_(opts)
-{
-}
-
-Lease::~Lease() { release(); }
-
-void
-Lease::startHeartbeat()
-{
-    heartbeat_ = std::thread([this]() {
-        const long pid = static_cast<long>(::getpid());
-        // Sleep in short slices so release() never blocks a full
-        // heartbeat period on join.
-        const auto slice = std::chrono::milliseconds(
-            opts_.heartbeatMs < 20 ? opts_.heartbeatMs : 20);
-        auto last = Clock::now();
-        while (!stop_.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(slice);
-            if (stop_.load(std::memory_order_acquire))
-                break;
-            if (elapsedMs(last) < opts_.heartbeatMs)
-                continue;
-            last = Clock::now();
-            const std::uint64_t beat =
-                beat_.fetch_add(1, std::memory_order_relaxed) + 1;
-            republishLease(path_, pid, beat);
-        }
-    });
-}
-
-void
-Lease::release()
-{
-    if (released_)
-        return;
-    released_ = true;
-    stop_.store(true, std::memory_order_release);
-    if (heartbeat_.joinable())
-        heartbeat_.join();
-    // ENOENT is expected after a takeover already renamed us aside.
-    std::remove(path_.c_str());
-}
-
-bool
-readLease(const std::string &path, LeaseProbe *out)
-{
-    *out = LeaseProbe{};
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::string magic, pidKey, beatKey;
-    unsigned version = 0;
-    if ((in >> magic >> version >> pidKey >> out->pid >> beatKey
-         >> out->beat)
-        && magic == "BDSLEASE" && version == 1 && pidKey == "pid"
-        && beatKey == "beat")
-        out->parsed = true;
-    return true;
+    // Unlink while still locked: unlinking after the unlock could
+    // pull the file out from under a waiter that had just locked it
+    // and passed the inode check.
+    ::unlink(path_.c_str());
+    ::close(fd_);
 }
 
 std::unique_ptr<Lease>
-tryAcquireLease(const std::string &path, const LeaseOptions &opts)
+tryAcquireLease(const std::string &path)
 {
-    const int fd =
-        ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0666);
-    if (fd < 0) {
-        const int err = errno;
-        if (err == EEXIST)
-            return nullptr;
-        BDS_RAISE(ErrorCode::Io, "cannot create lease '"
-                                     << path << "': "
-                                     << std::strerror(err));
-    }
-    const std::string body =
-        leaseBody(static_cast<long>(::getpid()), 0);
-    const ssize_t wrote = ::write(fd, body.data(), body.size());
-    const int werr = errno;
-    ::close(fd);
-    if (wrote != static_cast<ssize_t>(body.size())) {
-        ::unlink(path.c_str());
-        BDS_RAISE(ErrorCode::Io, "cannot stamp lease '"
-                                     << path << "': "
-                                     << std::strerror(werr));
-    }
-    std::unique_ptr<Lease> lease(new Lease(path, opts));
-    lease->startHeartbeat();
-    return lease;
+    return lockLease(path, LOCK_EX | LOCK_NB);
 }
 
 std::unique_ptr<Lease>
-acquireLease(const std::string &path, const LeaseOptions &opts,
-             const std::function<bool()> &cancel, LeaseWaitStats *stats)
+acquireLease(const std::string &path)
 {
-    LeaseWaitStats local;
-    LeaseWaitStats &st = stats ? *stats : local;
-    st = LeaseWaitStats{};
-
-    std::uint64_t backoffMs = opts.pollMinMs ? opts.pollMinMs : 1;
-
-    // Staleness is judged over *continuous observation*: the watch
-    // resets whenever the beat advances or the holder identity
-    // changes, so a healthy-but-slow holder is never preempted.
-    bool watching = false;
-    LeaseProbe watched;
-    Clock::time_point watchStart{};
-
-    for (;;) {
-        std::unique_ptr<Lease> lease = tryAcquireLease(path, opts);
-        if (lease)
-            return lease;
-
-        LeaseProbe probe;
-        if (!readLease(path, &probe)) {
-            // Freed between our create attempt and the read — retry
-            // the create immediately.
-            watching = false;
-            continue;
-        }
-
-        bool takeover = false;
-        if (probe.parsed && pidVanished(probe.pid)) {
-            takeover = true;
-        } else {
-            const bool sameHolder = watching
-                && probe.parsed == watched.parsed
-                && probe.pid == watched.pid
-                && probe.beat == watched.beat;
-            if (!sameHolder) {
-                watching = true;
-                watched = probe;
-                watchStart = Clock::now();
-            } else if (elapsedMs(watchStart) >= opts.staleMs) {
-                // Live pid but no progress for staleMs (or foreign
-                // unparseable bytes squatting on the lease path).
-                takeover = true;
-            }
-        }
-
-        if (takeover) {
-            std::ostringstream aside;
-            aside << path << ".stale." << ::getpid();
-            if (std::rename(path.c_str(), aside.str().c_str()) == 0) {
-                // We won the challenge; the corpse is ours to reap.
-                std::remove(aside.str().c_str());
-                ++st.takeovers;
-            }
-            // Either way the path is (or is about to be) free —
-            // compete for the create again.
-            watching = false;
-            continue;
-        }
-
-        if (cancel && cancel()) {
-            st.canceled = true;
-            return nullptr;
-        }
-
-        ++st.waits;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(backoffMs));
-        backoffMs *= 2;
-        if (opts.pollMaxMs && backoffMs > opts.pollMaxMs)
-            backoffMs = opts.pollMaxMs;
-    }
+    return lockLease(path, LOCK_EX);
 }
 
 } // namespace bds

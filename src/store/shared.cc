@@ -8,6 +8,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -30,7 +31,6 @@ struct AtomicStoreStats
     std::atomic<std::uint64_t> heals{0};
     std::atomic<std::uint64_t> leaseAcquires{0};
     std::atomic<std::uint64_t> leaseWaits{0};
-    std::atomic<std::uint64_t> leaseTakeovers{0};
     std::atomic<std::uint64_t> indexRebuilds{0};
 };
 
@@ -57,9 +57,18 @@ fileExists(const std::string &path)
 }
 
 /**
+ * True when `pid` (> 0) definitely no longer exists on this host
+ * (kill(pid, 0) == ESRCH).
+ */
+bool
+pidVanished(long pid)
+{
+    return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
+}
+
+/**
  * Parse the trailing ".<pid>" of an orphan coordination file
- * (temp/probe/heartbeat/stale-aside). Returns 0 when the tail is not
- * a number.
+ * (temp/probe). Returns 0 when the tail is not a number.
  */
 long
 trailingPid(const std::string &name)
@@ -92,8 +101,6 @@ storeStats()
     s.heals = g.heals.load(std::memory_order_relaxed);
     s.leaseAcquires = g.leaseAcquires.load(std::memory_order_relaxed);
     s.leaseWaits = g.leaseWaits.load(std::memory_order_relaxed);
-    s.leaseTakeovers =
-        g.leaseTakeovers.load(std::memory_order_relaxed);
     s.indexRebuilds = g.indexRebuilds.load(std::memory_order_relaxed);
     return s;
 }
@@ -110,7 +117,6 @@ resetStoreStats()
     g.heals.store(0, std::memory_order_relaxed);
     g.leaseAcquires.store(0, std::memory_order_relaxed);
     g.leaseWaits.store(0, std::memory_order_relaxed);
-    g.leaseTakeovers.store(0, std::memory_order_relaxed);
     g.indexRebuilds.store(0, std::memory_order_relaxed);
 }
 
@@ -383,25 +389,16 @@ SharedStore::singleFlight(const std::string &name)
     const std::string leasePath = entry + ".lease";
     AtomicStoreStats &g = globalStoreStats();
     try {
-        std::unique_ptr<Lease> lease =
-            tryAcquireLease(leasePath, opts_.lease);
+        std::unique_ptr<Lease> lease = tryAcquireLease(leasePath);
         if (!lease) {
-            // Someone else is computing: wait for their publish (the
-            // entry appearing cancels the wait) or take over their
-            // lease if they die or wedge.
+            // Someone else is computing: block until their lock is
+            // freed (they published, failed, or died). When their
+            // entry is on disk the lease is moot; dropping it here
+            // lets the next waiter see the entry too.
             g.leaseWaits.fetch_add(1, std::memory_order_relaxed);
             Tracer::global().counter("store.lease_wait", 1);
-            LeaseWaitStats ws;
-            lease = acquireLease(
-                leasePath, opts_.lease,
-                [&entry]() { return fileExists(entry); }, &ws);
-            if (ws.takeovers) {
-                g.leaseTakeovers.fetch_add(ws.takeovers,
-                                           std::memory_order_relaxed);
-                Tracer::global().counter("store.lease_takeover",
-                                         ws.takeovers);
-            }
-            if (ws.canceled) {
+            lease = acquireLease(leasePath);
+            if (fileExists(entry)) {
                 ticket.entryAppeared = true;
                 return ticket;
             }
@@ -451,12 +448,10 @@ SharedStore::reapOrphans() const
     std::vector<std::string> doomed;
     while (struct dirent *ent = ::readdir(d)) {
         const std::string name = ent->d_name;
-        // Coordination litter is always "<something>.<marker>.<pid>";
-        // reap it once the owning process is gone.
+        // Temps and probes are "<something>.<marker>.<pid>"; reap
+        // them once the owning process is gone.
         const bool orphanKind = name.find(".tmp.") != std::string::npos
-            || name.find(".probe.") != std::string::npos
-            || name.find(".hb.") != std::string::npos
-            || name.find(".stale.") != std::string::npos;
+            || name.find(".probe.") != std::string::npos;
         if (!orphanKind)
             continue;
         const long pid = trailingPid(name);

@@ -8,8 +8,8 @@
  *
  *  - lease files (`<entry>.lease`, src/store/lease.h) give
  *    cross-process single-flight: at most one process computes a
- *    given entry while everyone else waits, with deterministic
- *    takeover of dead or wedged holders;
+ *    given entry while everyone else waits on its flock(2), which
+ *    the kernel frees when the holder exits or crashes;
  *  - an LRU index (`store.index`, src/store/index.h) orders entries
  *    for eviction under the byte budget; it is rebuilt from a
  *    directory scan whenever it is corrupt or missing;
@@ -64,7 +64,6 @@ struct StoreStats
     std::uint64_t heals = 0;          ///< down -> up transitions
     std::uint64_t leaseAcquires = 0;  ///< single-flight leaderships
     std::uint64_t leaseWaits = 0;     ///< waits on another process
-    std::uint64_t leaseTakeovers = 0; ///< stale leases taken over
     std::uint64_t indexRebuilds = 0;  ///< corrupt index rebuilt
 };
 
@@ -93,9 +92,6 @@ struct SharedStoreOptions
 
     /** Byte budget across entry files; 0 = unbounded. */
     std::uint64_t maxBytes = 0;
-
-    /** Lease protocol timing (tests shrink these). */
-    LeaseOptions lease;
 
     /**
      * Minimum interval between store-down heal probes, in
@@ -131,7 +127,7 @@ class SharedStore
      * is Error(InvalidConfig); an *uncreatable* one is not an error —
      * the store opens in down mode (callers compute uncached) and
      * heals if the path becomes writable. Opening also reaps orphan
-     * temp/lease files of dead processes, reconciles or rebuilds the
+     * temp/probe files of dead processes, reconciles or rebuilds the
      * index, and re-enforces the byte budget (repairing a previous
      * killed-mid-evict run).
      */

@@ -189,7 +189,7 @@ TEST(ServeCli, StdinProtocolMissHitAndWarmRestart)
               " store_evicted=0 store_evicted_bytes=0"
               " store_downs=0 store_heals=0"
               " store_lease_acquires=1 store_lease_waits=0"
-              " store_lease_takeovers=0 store_index_rebuilds=0");
+              " store_index_rebuilds=0");
     EXPECT_EQ(frames[4].header, "bye");
 
     // A fresh daemon process answers warm from the on-disk store.

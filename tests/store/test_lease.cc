@@ -1,24 +1,29 @@
 /**
  * @file
- * Lease protocol tests: exclusive acquisition, heartbeat publishing,
- * cancel-ended waits, and the two deterministic takeover paths —
- * dead-pid (the stamped holder no longer exists) and wedged-holder
- * (a live pid whose heartbeat counter stops advancing).
+ * Lease tests: exclusive acquisition between descriptors of one
+ * process, a dead holder's lock freed by the kernel, foreign bytes at
+ * the lock path, and a multi-thread stress case that catches two
+ * holders at once (the race the inode recheck in lockLease closes).
  */
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
-#include "fault/error.h"
 #include "store/lease.h"
+#include "store/shared.h"
 #include "scratch_path.h"
 
 namespace bds {
@@ -27,165 +32,183 @@ namespace {
 std::string
 leasePath(const std::string &name)
 {
-    return bdstest::scratchPath(name + ".lease");
+    const std::string path = bdstest::scratchPath(name + ".lease");
+    std::remove(path.c_str());
+    return path;
 }
 
-/** Fast-poll options so waits settle in milliseconds. */
-LeaseOptions
-fastOpts()
+bool
+fileExists(const std::string &path)
 {
-    LeaseOptions opts;
-    opts.heartbeatMs = 20;
-    opts.staleMs = 150;
-    opts.pollMinMs = 1;
-    opts.pollMaxMs = 10;
-    return opts;
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
 }
 
-/** A pid that is guaranteed dead: fork a child and reap it. */
-long
-deadPid()
+/**
+ * Fork a child that runs `take` (which must take and keep a lease),
+ * reports it, then waits for the parent to close `*release` and
+ * `_exit`s without releasing anything. Returns the child's pid once
+ * it holds the lease.
+ */
+pid_t
+holdInChild(const std::function<bool()> &take, int *release)
 {
-    const pid_t pid = ::fork();
-    if (pid == 0)
+    int ready[2], hold[2];
+    if (::pipe(ready) != 0 || ::pipe(hold) != 0)
+        return -1;
+    const pid_t child = ::fork();
+    if (child == 0) {
+        ::close(hold[1]);
+        const char ok = take() ? '1' : '0';
+        (void)!::write(ready[1], &ok, 1);
+        char c;
+        (void)!::read(hold[0], &c, 1); // EOF: the parent let go
         ::_exit(0);
+    }
+    ::close(ready[1]);
+    ::close(hold[0]);
+    char ok = '0';
+    const bool held = ::read(ready[0], &ok, 1) == 1 && ok == '1';
+    ::close(ready[0]);
+    *release = hold[1];
+    return held ? child : -1;
+}
+
+/** Let the child exit and reap it; true when it exited cleanly. */
+bool
+reap(pid_t child)
+{
     int status = 0;
-    ::waitpid(pid, &status, 0);
-    return static_cast<long>(pid);
+    return ::waitpid(child, &status, 0) == child && WIFEXITED(status)
+        && WEXITSTATUS(status) == 0;
+}
+
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
 }
 
 TEST(StoreLease, AcquireIsExclusiveAndReleaseFreesTheFile)
 {
     const std::string path = leasePath("bds_lease_excl");
-    std::remove(path.c_str());
 
-    std::unique_ptr<Lease> held = tryAcquireLease(path, fastOpts());
+    std::unique_ptr<Lease> held = tryAcquireLease(path);
     ASSERT_TRUE(held);
+    EXPECT_TRUE(fileExists(path));
 
-    // Second acquire in the same (or any) process: busy, not an error.
-    EXPECT_FALSE(tryAcquireLease(path, fastOpts()));
+    // flock excludes per open file, so a second descriptor in the
+    // same process finds the lease busy: not an error, just null.
+    EXPECT_FALSE(tryAcquireLease(path));
 
-    LeaseProbe probe;
-    ASSERT_TRUE(readLease(path, &probe));
-    EXPECT_TRUE(probe.parsed);
-    EXPECT_EQ(probe.pid, static_cast<long>(::getpid()));
-
-    held->release();
-    EXPECT_FALSE(readLease(path, &probe));
+    held.reset();
+    EXPECT_FALSE(fileExists(path));
 
     // Released means re-acquirable.
-    std::unique_ptr<Lease> again = tryAcquireLease(path, fastOpts());
+    std::unique_ptr<Lease> again = tryAcquireLease(path);
     EXPECT_TRUE(again);
-    again.reset(); // destructor releases too
-    EXPECT_FALSE(readLease(path, &probe));
-}
-
-TEST(StoreLease, HeartbeatAdvancesTheBeatCounter)
-{
-    const std::string path = leasePath("bds_lease_beat");
-    std::remove(path.c_str());
-
-    std::unique_ptr<Lease> held = tryAcquireLease(path, fastOpts());
-    ASSERT_TRUE(held);
-    LeaseProbe first;
-    ASSERT_TRUE(readLease(path, &first));
-
-    // Several heartbeat periods later the published beat has moved:
-    // "alive and making progress" is observable from outside.
-    LeaseProbe later = first;
-    for (int tries = 0; tries < 100 && later.beat == first.beat;
-         ++tries) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        ASSERT_TRUE(readLease(path, &later));
-    }
-    EXPECT_GT(later.beat, first.beat);
-    held->release();
+    again.reset();
+    EXPECT_FALSE(fileExists(path));
 }
 
 TEST(StoreLease, DeadHolderIsTakenOverImmediately)
 {
     const std::string path = leasePath("bds_lease_dead");
-    std::remove(path.c_str());
 
-    // Forge a lease held by a pid that is definitely gone.
-    const long corpse = deadPid();
-    ASSERT_TRUE(pidVanished(corpse));
-    {
-        std::ofstream f(path, std::ios::trunc);
-        f << "BDSLEASE 1\npid " << corpse << "\nbeat 7\n";
-    }
+    // A holder that dies without releasing (the child leaks its
+    // Lease): the kernel drops the lock when the process exits, so a
+    // blocked waiter wakes at once.
+    int release = -1;
+    const pid_t child = holdInChild(
+        [&] { return tryAcquireLease(path).release() != nullptr; },
+        &release);
+    ASSERT_GT(child, 0);
+    EXPECT_FALSE(tryAcquireLease(path)); // the child really holds it
 
-    LeaseWaitStats stats;
     const auto t0 = std::chrono::steady_clock::now();
-    std::unique_ptr<Lease> lease =
-        acquireLease(path, fastOpts(), [] { return false; }, &stats);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    ASSERT_TRUE(lease);
-    EXPECT_EQ(stats.takeovers, 1u);
-    EXPECT_FALSE(stats.canceled);
-    // Dead-pid takeover must not serve out the staleMs sentence.
-    EXPECT_LT(ms, static_cast<double>(fastOpts().staleMs));
-    lease->release();
+    ::close(release);
+    std::unique_ptr<Lease> lease = acquireLease(path);
+    EXPECT_TRUE(lease);
+    EXPECT_LT(msSince(t0), 1000.0);
+    EXPECT_TRUE(reap(child));
 }
 
-TEST(StoreLease, WedgedHolderLosesTheLeaseAfterStaleMs)
+TEST(StoreLease, DeadLeaderWithoutAnEntryMakesTheWaiterLeader)
 {
-    const std::string path = leasePath("bds_lease_wedged");
-    std::remove(path.c_str());
+    const std::string dir = bdstest::scratchPath("bds_lease_dead_store");
+    std::system(("rm -rf '" + dir + "'").c_str());
+    SharedStoreOptions opts;
+    opts.dir = dir;
+    opts.suffix = ".ent";
 
-    // A live pid (ours) with a heartbeat that never advances: the
-    // wedged-holder picture. No Lease object exists, so nothing
-    // republishes the beat.
-    {
-        std::ofstream f(path, std::ios::trunc);
-        f << "BDSLEASE 1\npid " << ::getpid() << "\nbeat 3\n";
-    }
+    // The child leads "cell.ent", then dies without publishing: the
+    // parent's wait must end as the new leader, since no entry exists.
+    int release = -1;
+    const pid_t child = holdInChild(
+        [&] {
+            SharedStore mine(opts);
+            return mine.singleFlight("cell.ent").lease.release()
+                != nullptr;
+        },
+        &release);
+    ASSERT_GT(child, 0);
+    EXPECT_FALSE(tryAcquireLease(dir + "/cell.ent.lease"));
 
-    LeaseWaitStats stats;
-    std::unique_ptr<Lease> lease =
-        acquireLease(path, fastOpts(), [] { return false; }, &stats);
-    ASSERT_TRUE(lease);
-    EXPECT_GE(stats.takeovers, 1u);
-    lease->release();
+    SharedStore store(opts);
+    const auto t0 = std::chrono::steady_clock::now();
+    ::close(release);
+    FlightTicket ticket = store.singleFlight("cell.ent");
+    EXPECT_TRUE(ticket.lease);
+    EXPECT_FALSE(ticket.entryAppeared);
+    EXPECT_LT(msSince(t0), 1000.0);
+    EXPECT_TRUE(reap(child));
+
+    ticket.lease.reset();
+    std::system(("rm -rf '" + dir + "'").c_str());
 }
 
-TEST(StoreLease, CancelEndsTheWaitWithoutALease)
-{
-    const std::string path = leasePath("bds_lease_cancel");
-    std::remove(path.c_str());
-
-    std::unique_ptr<Lease> held = tryAcquireLease(path, fastOpts());
-    ASSERT_TRUE(held);
-
-    // The holder is alive and heartbeating; the only way out of the
-    // wait is the cancel predicate (the caller's entry appeared).
-    int polls = 0;
-    LeaseWaitStats stats;
-    std::unique_ptr<Lease> lease = acquireLease(
-        path, fastOpts(), [&polls] { return ++polls >= 3; }, &stats);
-    EXPECT_FALSE(lease);
-    EXPECT_TRUE(stats.canceled);
-    EXPECT_EQ(stats.takeovers, 0u);
-    held->release();
-}
-
-TEST(StoreLease, ReleaseAfterForeignTakeoverIsHarmless)
+TEST(StoreLease, ForeignBytesAtTheLockPathDoNotBlockAcquisition)
 {
     const std::string path = leasePath("bds_lease_foreign");
-    std::remove(path.c_str());
+    {
+        // A pid-stamped body or any other bytes: the lock is on the
+        // file, and its contents mean nothing.
+        std::ofstream f(path, std::ios::trunc);
+        f << "BDSLEASE 1\npid 1\nbeat 7\n";
+    }
+    std::unique_ptr<Lease> lease = tryAcquireLease(path);
+    ASSERT_TRUE(lease);
+    lease.reset();
+    EXPECT_FALSE(fileExists(path));
+}
 
-    std::unique_ptr<Lease> held = tryAcquireLease(path, fastOpts());
-    ASSERT_TRUE(held);
-
-    // Simulate a challenger's takeover: the lease file is renamed
-    // aside and removed while the original holder still exists.
-    std::remove(path.c_str());
-    held->release(); // must not throw or unlink anything foreign
-
-    std::unique_ptr<Lease> next = tryAcquireLease(path, fastOpts());
-    EXPECT_TRUE(next);
+TEST(StoreLease, ConcurrentAcquirersNeverOverlap)
+{
+    // Every release unlinks the file, so acquirers keep racing a
+    // waiter's stale open against a fresh create. Two holders at
+    // once is what the inode recheck prevents.
+    const std::string shared = leasePath("bds_lease_stress");
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 2000;
+    std::atomic<int> inside{0};
+    std::atomic<int> overlaps{0};
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, path = std::string(shared)] {
+            for (int i = 0; i < kRounds; ++i) {
+                std::unique_ptr<Lease> lease = acquireLease(path);
+                if (inside.fetch_add(1) != 0)
+                    ++overlaps;
+                std::this_thread::yield();
+                inside.fetch_sub(1);
+            }
+        });
+    for (std::thread &t : pool)
+        t.join();
+    EXPECT_EQ(overlaps.load(), 0);
+    EXPECT_FALSE(fileExists(shared));
 }
 
 } // namespace

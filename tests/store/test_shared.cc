@@ -67,7 +67,7 @@ fileExists(const std::string &path)
     return ::stat(path.c_str(), &st) == 0;
 }
 
-/** Options with millisecond-scale lease timing and eager healing. */
+/** Options with eager healing. */
 SharedStoreOptions
 testOpts(std::string dir, std::uint64_t maxBytes = 0)
 {
@@ -75,10 +75,6 @@ testOpts(std::string dir, std::uint64_t maxBytes = 0)
     opts.dir = std::move(dir);
     opts.suffix = ".ent";
     opts.maxBytes = maxBytes;
-    opts.lease.heartbeatMs = 20;
-    opts.lease.staleMs = 200;
-    opts.lease.pollMinMs = 1;
-    opts.lease.pollMaxMs = 10;
     opts.healProbeMs = 0;
     return opts;
 }
